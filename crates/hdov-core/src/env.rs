@@ -172,14 +172,13 @@ impl HdovEnvironment {
         let cell = self.cell_of(viewpoint);
         self.tree.reset_io();
         self.objects.disk.reset_stats();
-        let skip = delta.skip_map();
         let (result, stats) = search(
             &mut self.tree,
             self.vstore.as_mut(),
             &mut self.objects,
             cell,
             eta,
-            Some(&skip),
+            Some(delta),
         )?;
         let summary = delta.apply(&result);
         Ok((result, stats, summary))
@@ -221,7 +220,6 @@ impl HdovEnvironment {
         let cell = self.cell_of(frustum.eye);
         self.tree.reset_io();
         self.objects.disk.reset_stats();
-        let skip = delta.skip_map();
         let (outcome, stats) = crate::priority::search_prioritized_delta(
             &mut self.tree,
             self.vstore.as_mut(),
@@ -230,7 +228,7 @@ impl HdovEnvironment {
             eta,
             frustum,
             budget_ms,
-            Some(&skip),
+            Some(delta),
         )?;
         if outcome.completed {
             delta.apply(&outcome.result);

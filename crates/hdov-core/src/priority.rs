@@ -15,6 +15,7 @@
 //! important mass before the deadline than blind truncation would.
 
 use crate::build::HdovTree;
+use crate::delta::DeltaSearch;
 use crate::search::{terminates_entry, ObjectModels, QueryResult, ResultEntry, ResultKey};
 use crate::storage::VisibilityStore;
 use crate::SearchStats;
@@ -24,7 +25,6 @@ use hdov_storage::Result;
 use hdov_visibility::CellId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 
 /// Loading priority of a work item: in-frustum content strictly before
 /// out-of-frustum content, nearer before farther within each class.
@@ -123,8 +123,8 @@ pub fn search_prioritized(
     search_prioritized_delta(tree, vstore, objects, cell, eta, frustum, budget_ms, None)
 }
 
-/// [`search_prioritized`] with a delta-search skip map (resident key →
-/// resident LoD level): matching entries are returned `cached` and cost no
+/// [`search_prioritized`] with a delta-search resident set: entries
+/// resident at the selected LoD level are returned `cached` and cost no
 /// model I/O, so a walkthrough's per-frame budget is spent on *new* content.
 #[allow(clippy::too_many_arguments)]
 pub fn search_prioritized_delta(
@@ -135,7 +135,7 @@ pub fn search_prioritized_delta(
     eta: f64,
     frustum: &Frustum,
     budget_ms: Option<f64>,
-    skip: Option<&HashMap<ResultKey, usize>>,
+    skip: Option<&DeltaSearch>,
 ) -> Result<(PrioritizedOutcome, SearchStats)> {
     assert!(eta >= 0.0, "eta must be non-negative");
     let node_io0 = tree.node_io();
@@ -236,7 +236,7 @@ pub fn search_prioritized_delta(
                 let k = (dov as f64 / MAX_DOV).min(1.0);
                 let level = objects.store.select_level(id, k);
                 let key = ResultKey::Object(id);
-                let cached = skip.and_then(|s| s.get(&key)).is_some_and(|&l| l == level);
+                let cached = skip.is_some_and(|s| s.is_resident(key, level));
                 let h = if cached {
                     objects.store.handle(id, level)
                 } else {
@@ -259,7 +259,7 @@ pub fn search_prioritized_delta(
                 };
                 let level = crate::search::select_level(tree.internal_store(), ordinal as u64, k);
                 let key = ResultKey::Internal(ordinal);
-                let cached = skip.and_then(|s| s.get(&key)).is_some_and(|&l| l == level);
+                let cached = skip.is_some_and(|s| s.is_resident(key, level));
                 let h = if cached {
                     tree.internal_store().handle(ordinal as u64, level)
                 } else {

@@ -18,6 +18,7 @@
 
 use crate::budget::{BudgetClock, QueryBudget};
 use crate::build::{HdovTree, TerminationHeuristic};
+use crate::delta::DeltaSearch;
 use crate::node::HdovEntry;
 use crate::storage::VisibilityStore;
 use crate::vpage::VEntry;
@@ -26,7 +27,6 @@ use hdov_obs::{Counter, Hist, Phase};
 use hdov_scene::{ModelStore, Scene};
 use hdov_storage::{DiskModel, IoStats, Result, SimulatedDisk, StorageBackend, StoreFile};
 use hdov_visibility::CellId;
-use std::collections::HashMap;
 
 /// CPU cost charged per node visited (µs) on top of simulated I/O time.
 pub const CPU_PER_NODE_US: f64 = 15.0;
@@ -358,16 +358,16 @@ pub fn select_level(store: &ModelStore, key: u64, k: f64) -> usize {
 
 /// Runs the threshold visibility query of Fig. 3.
 ///
-/// `skip` maps already-resident keys to their resident LoD level: matching
-/// entries are included in the result with `cached = true` and cost no model
-/// I/O (the walkthrough "delta" optimisation, §5.4).
+/// `skip` is the walkthrough's resident set: entries resident at the
+/// selected LoD level are included in the result with `cached = true` and
+/// cost no model I/O (the walkthrough "delta" optimisation, §5.4).
 pub fn search(
     tree: &mut HdovTree,
     vstore: &mut dyn VisibilityStore,
     objects: &mut ObjectModels,
     cell: CellId,
     eta: f64,
-    skip: Option<&HashMap<ResultKey, usize>>,
+    skip: Option<&DeltaSearch>,
 ) -> Result<(QueryResult, SearchStats)> {
     search_budgeted(
         tree,
@@ -391,7 +391,7 @@ pub fn search_budgeted(
     objects: &mut ObjectModels,
     cell: CellId,
     eta: f64,
-    skip: Option<&HashMap<ResultKey, usize>>,
+    skip: Option<&DeltaSearch>,
     budget: QueryBudget,
 ) -> Result<(QueryResult, SearchStats)> {
     assert!(eta >= 0.0, "eta must be non-negative");
@@ -460,12 +460,12 @@ fn degrade_to_internal(
     objects_coarse: u64,
     cause: DegradeCause,
     detail: &str,
-    skip: Option<&HashMap<ResultKey, usize>>,
+    skip: Option<&DeltaSearch>,
     out: &mut QueryResult,
 ) -> Result<()> {
     let level = select_level(tree.internal_store(), ordinal as u64, 1.0);
     let key = ResultKey::Internal(ordinal);
-    let cached = skip.and_then(|s| s.get(&key)).is_some_and(|&l| l == level);
+    let cached = skip.is_some_and(|s| s.is_resident(key, level));
     let h = if cached {
         tree.internal_store().handle(ordinal as u64, level)
     } else {
@@ -523,7 +523,7 @@ fn recurse(
     objects: &mut ObjectModels,
     ordinal: u32,
     eta: f64,
-    skip: Option<&HashMap<ResultKey, usize>>,
+    skip: Option<&DeltaSearch>,
     bclock: &BudgetClock,
     out: &mut QueryResult,
     stats: &mut SearchStats,
@@ -553,7 +553,7 @@ fn recurse(
             let k = (ve.dov as f64 / MAX_DOV).min(1.0);
             let level = select_level(&objects.store, entry.child, k);
             let key = ResultKey::Object(entry.child);
-            let cached = skip.and_then(|s| s.get(&key)).is_some_and(|&l| l == level);
+            let cached = skip.is_some_and(|s| s.is_resident(key, level));
             let h = if cached {
                 objects.store.handle(entry.child, level)
             } else {
@@ -578,7 +578,7 @@ fn recurse(
             let child = entry.child_ordinal;
             let level = select_level(tree.internal_store(), child as u64, k);
             let key = ResultKey::Internal(child);
-            let cached = skip.and_then(|s| s.get(&key)).is_some_and(|&l| l == level);
+            let cached = skip.is_some_and(|s| s.is_resident(key, level));
             let h = if cached {
                 tree.internal_store().handle(child as u64, level)
             } else {

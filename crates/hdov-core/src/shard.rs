@@ -31,6 +31,7 @@
 //! is chosen over minimality, exactly like the budget-stop path.
 
 use crate::budget::{BudgetClock, QueryBudget};
+use crate::delta::{DeltaSearch, KeyMap};
 use crate::search::{
     select_level, terminates_with, DegradeCause, DegradeEvent, QueryResult, ResultEntry, ResultKey,
     SearchStats, BUDGET_EXHAUSTED_DETAIL,
@@ -158,7 +159,7 @@ impl ShardFrame {
 #[derive(Debug)]
 pub struct ShardPlan {
     shards: usize,
-    object_owner: HashMap<u64, usize>,
+    object_owner: KeyMap<u64, usize>,
     node_owner: Vec<u32>,
     node_mask: Vec<u64>,
     cell_masks: Vec<u64>,
@@ -186,7 +187,7 @@ impl ShardPlan {
         let n_nodes = env.tree().node_count() as usize;
         let mut plan = ShardPlan {
             shards,
-            object_owner: HashMap::new(),
+            object_owner: KeyMap::default(),
             node_owner: vec![0; n_nodes],
             node_mask: vec![0; n_nodes],
             cell_masks: Vec::new(),
@@ -469,7 +470,7 @@ pub fn search_shard_into_budgeted(
     frame: &mut ShardFrame,
     cell: CellId,
     eta: f64,
-    skip: Option<&HashMap<ResultKey, usize>>,
+    skip: Option<&DeltaSearch>,
     prefetch: bool,
     budget: QueryBudget,
 ) -> Result<SearchStats> {
@@ -520,7 +521,7 @@ pub fn search_shard_into_budgeted(
         let root = env.tree().root_ordinal();
         let level = select_level(env.tree().internal_store(), root as u64, 1.0);
         let key = ResultKey::Internal(root);
-        let cached = skip.and_then(|s| s.get(&key)).is_some_and(|&l| l == level);
+        let cached = skip.is_some_and(|s| s.is_resident(key, level));
         let h = if cached {
             env.tree().internal_store().handle(root as u64, level)
         } else {
@@ -597,12 +598,12 @@ fn degrade_to_internal_shard(
     objects_coarse: u64,
     cause: DegradeCause,
     detail: &str,
-    skip: Option<&HashMap<ResultKey, usize>>,
+    skip: Option<&DeltaSearch>,
     frame: &mut ShardFrame,
 ) -> Result<()> {
     let level = select_level(env.tree().internal_store(), ordinal as u64, 1.0);
     let rk = ResultKey::Internal(ordinal);
-    let cached = skip.and_then(|s| s.get(&rk)).is_some_and(|&l| l == level);
+    let cached = skip.is_some_and(|s| s.is_resident(rk, level));
     let h = if cached {
         env.tree().internal_store().handle(ordinal as u64, level)
     } else {
@@ -643,7 +644,7 @@ fn recurse_shard(
     path: PathKey,
     depth: usize,
     eta: f64,
-    skip: Option<&HashMap<ResultKey, usize>>,
+    skip: Option<&DeltaSearch>,
     bclock: &BudgetClock,
     frame: &mut ShardFrame,
     stats: &mut SearchStats,
@@ -679,7 +680,7 @@ fn recurse_shard(
             let k = (ve.dov as f64 / MAX_DOV).min(1.0);
             let level = select_level(env.models().store(), entry.child, k);
             let rk = ResultKey::Object(entry.child);
-            let cached = skip.and_then(|s| s.get(&rk)).is_some_and(|&l| l == level);
+            let cached = skip.is_some_and(|s| s.is_resident(rk, level));
             let h = if cached {
                 env.models().store().handle(entry.child, level)
             } else {
@@ -718,7 +719,7 @@ fn recurse_shard(
             let child = entry.child_ordinal;
             let level = select_level(env.tree().internal_store(), child as u64, k);
             let rk = ResultKey::Internal(child);
-            let cached = skip.and_then(|s| s.get(&rk)).is_some_and(|&l| l == level);
+            let cached = skip.is_some_and(|s| s.is_resident(rk, level));
             let h = if cached {
                 env.tree().internal_store().handle(child as u64, level)
             } else {

@@ -45,7 +45,6 @@ use hdov_storage::{
     Scrubber, SharedCachedFile, SharedFaultyFile, StorageError, PAGE_SIZE,
 };
 use hdov_visibility::{CellGrid, CellId, DovTable};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Nil pointer in a dense V-page-index segment (matches the vertical
@@ -166,32 +165,35 @@ impl SharedVPageFile {
 
     /// Reads record `idx`, charging any pool miss to `cursor`.
     ///
-    /// Zero-copy: the disk page comes back as a pooled frame, and the
-    /// frame's overlay holds every record of the page decoded (trailing
-    /// unused slots are zero bytes, which decode as empty V-pages). Repeat
-    /// reads of any record on the page — from this or any other session —
-    /// share the one decoded vector; the decoded data dies when the frame
+    /// Zero-copy: the disk page's pooled frame holds every record of the
+    /// page decoded in its overlay (trailing unused slots are zero bytes,
+    /// which decode as empty V-pages). Repeat reads of any record on the
+    /// page — from this or any other session — share the one decoded
+    /// vector, and a hit on a decoded page clones only the record's `Arc`,
+    /// under the pool's stripe lock; the decoded data dies when the frame
     /// is evicted.
     pub fn read(&self, cursor: &mut IoCursor, idx: u64) -> Result<Arc<VPage>> {
         let slot = (idx % self.records_per_page) as usize;
-        let frame = self
-            .pool
-            .read_frame(cursor, PageId(self.disk_page_of(idx)))?;
         let rb = self.record_bytes;
         let rpp = self.records_per_page as usize;
         let codec = self.codec;
         // Batch decode: one pass materializes every record of the page into
         // the frame's OnceLock overlay slot, so the whole page pays decode
         // at most once per pool residency regardless of codec.
-        let decoded: Arc<Vec<Arc<VPage>>> = frame.overlay(|page| {
+        let decode = |page: &[u8]| {
             hdov_obs::add(hdov_obs::Counter::CodecDecodes, rpp as u64);
             let mut v = Vec::with_capacity(rpp);
             for s in 0..rpp {
                 v.push(Arc::new(codec.decode_record(&page[s * rb..(s + 1) * rb])?));
             }
             Ok(v)
-        })?;
-        Ok(Arc::clone(&decoded[slot]))
+        };
+        self.pool.read_overlay(
+            cursor,
+            PageId(self.disk_page_of(idx)),
+            decode,
+            |decoded: &Arc<Vec<Arc<VPage>>>| Arc::clone(&decoded[slot]),
+        )
     }
 
     /// Number of records.
@@ -529,6 +531,7 @@ pub struct SharedTree {
     entry_counts: Arc<Vec<u16>>,
     leaf_ordinals: Arc<Vec<u32>>,
     leaf_objects: Arc<Vec<Vec<u64>>>,
+    object_count: u64,
 }
 
 impl SharedTree {
@@ -567,11 +570,10 @@ impl SharedTree {
         &self.leaf_objects[i]
     }
 
-    /// Total objects indexed by the tree (Σ leaf objects). Only used on the
-    /// degraded path, so the per-call walk over the leaf lists is free at
-    /// steady state.
+    /// Total objects indexed by the tree (Σ leaf objects, summed once at
+    /// freeze).
     pub fn object_count(&self) -> u64 {
-        self.leaf_objects.iter().map(|o| o.len() as u64).sum()
+        self.object_count
     }
 
     /// The internal-LoD store (key = node ordinal).
@@ -583,14 +585,19 @@ impl SharedTree {
     ///
     /// Zero-copy: the node comes from the pooled frame's decoded overlay —
     /// it is decoded at most once per pool residency (across *all*
-    /// sessions), and every later read clones the shared `Arc`.
+    /// sessions), and every later read clones only the node's `Arc`, under
+    /// the pool's stripe lock.
     pub fn read_node(
         &self,
         cursor: &mut IoCursor,
         ordinal: u32,
     ) -> Result<Arc<crate::node::HdovNode>> {
-        let frame = self.nodes.read_frame(cursor, PageId(ordinal as u64))?;
-        frame.overlay(crate::node::HdovNode::decode)
+        self.nodes.read_overlay(
+            cursor,
+            PageId(ordinal as u64),
+            crate::node::HdovNode::decode,
+            Arc::clone,
+        )
     }
 
     /// Fetches node `ordinal`'s internal LoD at `level`, charging `cursor`.
@@ -623,6 +630,7 @@ impl SharedTree {
             entry_counts: Arc::clone(&self.entry_counts),
             leaf_ordinals: Arc::clone(&self.leaf_ordinals),
             leaf_objects: Arc::clone(&self.leaf_objects),
+            object_count: self.object_count,
         }
     }
 }
@@ -701,6 +709,7 @@ impl SharedEnvironment {
             heuristic: parts.heuristic,
             entry_counts: Arc::new(parts.entry_counts),
             leaf_ordinals: Arc::new(parts.leaf_ordinals),
+            object_count: parts.leaf_objects.iter().map(|o| o.len() as u64).sum(),
             leaf_objects: Arc::new(parts.leaf_objects),
         };
         let model_model = objects.disk.model();
@@ -764,8 +773,7 @@ impl SharedEnvironment {
         delta: &mut DeltaSearch,
     ) -> Result<(QueryResult, SearchStats, DeltaSummary)> {
         let cell = self.cell_of(viewpoint);
-        let skip = delta.skip_map();
-        let (result, stats) = search_shared(self, ctx, cell, eta, Some(&skip), true)?;
+        let (result, stats) = search_shared(self, ctx, cell, eta, Some(delta), true)?;
         let summary = delta.apply(&result);
         Ok((result, stats, summary))
     }
@@ -783,8 +791,7 @@ impl SharedEnvironment {
         delta: &mut DeltaSearch,
     ) -> Result<(SearchStats, DeltaSummary)> {
         let cell = self.cell_of(viewpoint);
-        let skip = delta.skip_map();
-        let stats = search_shared_into(self, ctx, scratch, cell, eta, Some(&skip), true)?;
+        let stats = search_shared_into(self, ctx, scratch, cell, eta, Some(delta), true)?;
         let summary = delta.apply(scratch.result());
         Ok((stats, summary))
     }
@@ -816,9 +823,8 @@ impl SharedEnvironment {
         budget: QueryBudget,
     ) -> Result<(SearchStats, DeltaSummary)> {
         let cell = self.cell_of(viewpoint);
-        let skip = delta.skip_map();
         let stats =
-            search_shared_into_budgeted(self, ctx, scratch, cell, eta, Some(&skip), true, budget)?;
+            search_shared_into_budgeted(self, ctx, scratch, cell, eta, Some(delta), true, budget)?;
         let summary = delta.apply(scratch.result());
         Ok((stats, summary))
     }
@@ -1008,7 +1014,7 @@ pub fn search_shared(
     ctx: &mut SessionCtx,
     cell: CellId,
     eta: f64,
-    skip: Option<&HashMap<ResultKey, usize>>,
+    skip: Option<&DeltaSearch>,
     prefetch: bool,
 ) -> Result<(QueryResult, SearchStats)> {
     let mut scratch = SearchScratch::new();
@@ -1026,7 +1032,7 @@ pub fn search_shared_budgeted(
     ctx: &mut SessionCtx,
     cell: CellId,
     eta: f64,
-    skip: Option<&HashMap<ResultKey, usize>>,
+    skip: Option<&DeltaSearch>,
     prefetch: bool,
     budget: QueryBudget,
 ) -> Result<(QueryResult, SearchStats)> {
@@ -1046,7 +1052,7 @@ pub fn search_shared_into(
     scratch: &mut SearchScratch,
     cell: CellId,
     eta: f64,
-    skip: Option<&HashMap<ResultKey, usize>>,
+    skip: Option<&DeltaSearch>,
     prefetch: bool,
 ) -> Result<SearchStats> {
     search_shared_into_budgeted(
@@ -1083,7 +1089,7 @@ pub fn search_shared_into_budgeted(
     scratch: &mut SearchScratch,
     cell: CellId,
     eta: f64,
-    skip: Option<&HashMap<ResultKey, usize>>,
+    skip: Option<&DeltaSearch>,
     prefetch: bool,
     budget: QueryBudget,
 ) -> Result<SearchStats> {
@@ -1160,12 +1166,12 @@ fn degrade_to_internal_shared(
     objects_coarse: u64,
     cause: DegradeCause,
     detail: &str,
-    skip: Option<&HashMap<ResultKey, usize>>,
+    skip: Option<&DeltaSearch>,
     out: &mut QueryResult,
 ) -> Result<()> {
     let level = select_level(env.tree.internal_store(), ordinal as u64, 1.0);
     let key = ResultKey::Internal(ordinal);
-    let cached = skip.and_then(|s| s.get(&key)).is_some_and(|&l| l == level);
+    let cached = skip.is_some_and(|s| s.is_resident(key, level));
     let h = if cached {
         env.tree.internal_store().handle(ordinal as u64, level)
     } else {
@@ -1191,7 +1197,7 @@ fn recurse_shared(
     ctx: &mut SessionCtx,
     ordinal: u32,
     eta: f64,
-    skip: Option<&HashMap<ResultKey, usize>>,
+    skip: Option<&DeltaSearch>,
     bclock: &BudgetClock,
     out: &mut QueryResult,
     stats: &mut SearchStats,
@@ -1221,7 +1227,7 @@ fn recurse_shared(
             let k = (ve.dov as f64 / MAX_DOV).min(1.0);
             let level = select_level(&env.models.store, entry.child, k);
             let key = ResultKey::Object(entry.child);
-            let cached = skip.and_then(|s| s.get(&key)).is_some_and(|&l| l == level);
+            let cached = skip.is_some_and(|s| s.is_resident(key, level));
             let h = if cached {
                 env.models.store.handle(entry.child, level)
             } else {
@@ -1254,7 +1260,7 @@ fn recurse_shared(
             let child = entry.child_ordinal;
             let level = select_level(env.tree.internal_store(), child as u64, k);
             let key = ResultKey::Internal(child);
-            let cached = skip.and_then(|s| s.get(&key)).is_some_and(|&l| l == level);
+            let cached = skip.is_some_and(|s| s.is_resident(key, level));
             let h = if cached {
                 env.tree.internal_store().handle(child as u64, level)
             } else {

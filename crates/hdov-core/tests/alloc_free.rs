@@ -2,41 +2,50 @@
 //! `search_shared_into` over warm pools performs **zero** heap allocations.
 //! Every byte the query touches is either a pooled frame (`Arc` clone), a
 //! decoded overlay (`Arc` clone), or a buffer reused from `SessionCtx` /
-//! `SearchScratch`.
+//! `SearchScratch`. The walkthrough frame built on it —
+//! `query_delta_into_budgeted` with a live `DeltaSearch` — allocates
+//! nothing either once its resident set is warm.
 //!
-//! A counting global allocator needs its own process: this file holds
-//! exactly one test, and obs stays disabled (registering a thread-local
-//! recorder allocates on first use, and the all-hits contract is about the
-//! production default).
+//! The counting global allocator counts per thread, so each test measures
+//! only its own queries while the harness runs the others. Obs stays
+//! disabled (registering a thread-local recorder allocates on first use,
+//! and the all-hits contract is about the production default).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use hdov_core::{
-    search_shared_into, HdovBuildConfig, HdovEnvironment, PoolConfig, SearchScratch, StorageScheme,
-    VPageCodec,
+    search_shared_into, DeltaSearch, HdovBuildConfig, HdovEnvironment, PoolConfig, QueryBudget,
+    SearchScratch, SharedEnvironment, StorageScheme, VPageCodec,
 };
-use hdov_scene::CityConfig;
+use hdov_scene::{CityConfig, Scene};
 use hdov_storage::StorageBackend;
 use hdov_visibility::{CellGridConfig, CellId};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: allocations during thread teardown go uncounted.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -48,8 +57,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 #[test]
@@ -146,4 +156,104 @@ fn steady_state_search_shared_allocates_nothing() {
         }
     }
     std::fs::remove_dir_all(&store_dir).ok();
+}
+
+/// Freezes `scene` under every codec × scheme × backend combination the
+/// walkthrough test covers, with pools big enough that the steady state is
+/// all-hits, and hands each environment to `check` with its label.
+fn for_each_environment(scene: &Scene, mut check: impl FnMut(&SharedEnvironment, String)) {
+    let grid_cfg = CellGridConfig::for_scene(scene).with_resolution(3, 3);
+    let store_dir =
+        std::env::temp_dir().join(format!("hdov_alloc_free_walk_{}", std::process::id()));
+    for codec in [VPageCodec::Raw, VPageCodec::Delta] {
+        for scheme in [StorageScheme::Vertical, StorageScheme::IndexedVertical] {
+            let dir = store_dir.join(format!("{scheme}_{codec:?}"));
+            let backends = [
+                StorageBackend::Mem,
+                StorageBackend::from_arg("file:mmap", &dir.join("mmap")).unwrap(),
+                StorageBackend::from_arg("file:pread", &dir.join("pread")).unwrap(),
+            ];
+            for backend in backends {
+                let cfg = HdovBuildConfig {
+                    codec,
+                    ..HdovBuildConfig::fast_test()
+                };
+                let mut built = HdovEnvironment::build(scene, &grid_cfg, cfg, scheme).unwrap();
+                built.relocate(&backend).unwrap();
+                let env = built.into_shared(PoolConfig {
+                    capacity_pages: 4096,
+                    shards: 8,
+                    ..PoolConfig::default()
+                });
+                check(
+                    &env,
+                    format!("{scheme}, {codec:?}, backend {}", backend.label()),
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&store_dir).ok();
+}
+
+#[test]
+fn steady_state_walkthrough_frame_allocates_nothing() {
+    assert!(!hdov_obs::is_enabled(), "obs must stay disabled here");
+    const FRAMES_PER_CELL: usize = 6;
+    let scene = CityConfig::tiny().seed(5).generate();
+    for_each_environment(&scene, |env, label| {
+        let cells: Vec<CellId> = (0..env.grid().cell_count() as CellId).collect();
+        let viewpoints: Vec<_> = cells
+            .iter()
+            .map(|&c| {
+                env.grid()
+                    .sample_viewpoints(c, FRAMES_PER_CELL, u64::from(c))
+            })
+            .collect();
+        let mut ctx = env.session();
+        let mut scratch = SearchScratch::new();
+        let mut delta = DeltaSearch::new();
+        let frame = |ctx: &mut _, scratch: &mut _, delta: &mut _, vp| {
+            env.query_delta_into_budgeted(ctx, scratch, vp, 0.004, delta, QueryBudget::UNLIMITED)
+                .unwrap()
+        };
+
+        // Warm-up: two full walks over every cell populate the pools and
+        // grow the session buffers and the resident set to their
+        // high-water marks.
+        for _ in 0..2 {
+            for vps in &viewpoints {
+                for &vp in vps {
+                    frame(&mut ctx, &mut scratch, &mut delta, vp);
+                }
+            }
+        }
+
+        // Steady state: entering a cell reshapes the resident set, then
+        // every further frame in the same cell must not touch the
+        // allocator — segment reuse, prefetch probes, node and V-page
+        // reads, skip lookups, result assembly and the delta fold included.
+        for (cell, vps) in cells.iter().zip(&viewpoints) {
+            frame(&mut ctx, &mut scratch, &mut delta, vps[0]);
+            let resident = delta.resident_count();
+            let before = allocations();
+            for &vp in &vps[1..] {
+                let (stats, summary) = frame(&mut ctx, &mut scratch, &mut delta, vp);
+                assert!(stats.nodes_visited > 0);
+                assert_eq!(summary.added, 0, "same-cell frames reuse everything");
+                assert_eq!(summary.retained, scratch.result().entries().len());
+                assert_eq!(summary.evicted, 0);
+            }
+            let after = allocations();
+            assert_eq!(delta.resident_count(), resident);
+            assert!(
+                resident > 0,
+                "cell {cell} must have a visible answer ({label})"
+            );
+            assert_eq!(
+                after - before,
+                0,
+                "steady-state walkthrough frames allocated (cell {cell}, {label})"
+            );
+        }
+    });
 }

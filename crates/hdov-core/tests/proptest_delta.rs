@@ -1,6 +1,7 @@
 //! Property-based tests of the delta-search resident-set bookkeeping
 //! against a naive model.
 
+use hdov_core::delta::DeltaSummary;
 use hdov_core::{DeltaSearch, QueryResult, ResultEntry, ResultKey};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -75,11 +76,69 @@ proptest! {
             prop_assert_eq!(delta.resident_count(), model.len());
             prop_assert_eq!(delta.peak_bytes(), model_peak);
 
-            // Skip map equals the model's key → level view.
-            let skip = delta.skip_map();
-            prop_assert_eq!(skip.len(), model.len());
+            // Skip lookups answer the model's key → level view.
+            prop_assert_eq!(delta.resident_count(), model.len());
             for (k, &(l, _)) in &model {
-                prop_assert_eq!(skip.get(k), Some(&l));
+                prop_assert_eq!(delta.resident_level(*k), Some(l));
+            }
+        }
+    }
+
+    /// One `DeltaSearch` reused across a long random mix of `apply`,
+    /// `merge` and `clear`: after every step its skip lookups, summary, and
+    /// resident and peak bytes equal a model that rebuilds everything from
+    /// scratch.
+    #[test]
+    fn reused_resident_set_matches_model_after_every_step(
+        ops in prop::collection::vec((0u8..10, result_strategy()), 1..80),
+    ) {
+        let mut delta = DeltaSearch::new();
+        let mut model: HashMap<ResultKey, (usize, u64)> = HashMap::new();
+        let mut model_peak = 0u64;
+
+        for (step, (op, q)) in ops.iter().enumerate() {
+            let levels: HashMap<ResultKey, usize> =
+                model.iter().map(|(k, &(l, _))| (*k, l)).collect();
+            let result = to_result(q, &levels);
+            let (mut added, mut retained) = (0, 0);
+            for e in result.entries() {
+                if e.cached { retained += 1 } else { added += 1 }
+            }
+            let (summary, want) = match op {
+                0..=5 => {
+                    let next: HashMap<ResultKey, (usize, u64)> =
+                        result.entries().iter().map(|e| (e.key, (e.level, e.bytes))).collect();
+                    let evicted = model.keys().filter(|k| !next.contains_key(k)).count();
+                    model = next;
+                    (delta.apply(&result), DeltaSummary { added, retained, evicted })
+                }
+                6..=8 => {
+                    for e in result.entries() {
+                        model.insert(e.key, (e.level, e.bytes));
+                    }
+                    (delta.merge(&result), DeltaSummary { added, retained, evicted: 0 })
+                }
+                _ => {
+                    model.clear();
+                    delta.clear();
+                    (DeltaSummary::default(), DeltaSummary::default())
+                }
+            };
+            let bytes: u64 = model.values().map(|&(_, b)| b).sum();
+            model_peak = model_peak.max(bytes);
+
+            prop_assert_eq!(summary, want, "step {}: summary {:?} vs {:?}", step, summary, want);
+            prop_assert_eq!(delta.resident_bytes(), bytes, "step {}: resident bytes", step);
+            prop_assert_eq!(delta.peak_bytes(), model_peak, "step {}: peak bytes", step);
+            prop_assert_eq!(delta.resident_count(), model.len());
+            for id in 0u64..40 {
+                for key in [ResultKey::Object(id), ResultKey::Internal(id as u32)] {
+                    let level = model.get(&key).map(|&(l, _)| l);
+                    prop_assert_eq!(delta.resident_level(key), level);
+                    for l in 0..4 {
+                        prop_assert_eq!(delta.is_resident(key, l), level == Some(l));
+                    }
+                }
             }
         }
     }

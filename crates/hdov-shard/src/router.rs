@@ -347,7 +347,6 @@ impl ShardRouter {
         }
 
         let mask = self.plan.cell_mask(cell) | (1u64 << self.tiles.shard_of_cell(cell));
-        let skip = lane.delta.skip_map();
         let mut rs = RouteStats::default();
 
         for s in 0..self.engines.len() {
@@ -356,7 +355,7 @@ impl ShardRouter {
                 continue;
             }
             rs.fanout += 1;
-            self.sub_query(lane, s, cell, eta, &skip, &mut rs);
+            self.sub_query(lane, s, cell, eta, &mut rs);
         }
 
         merge_frames(&mut lane.frames, &mut lane.merged);
@@ -378,7 +377,6 @@ impl ShardRouter {
         s: usize,
         cell: CellId,
         eta: f64,
-        skip: &std::collections::HashMap<hdov_core::ResultKey, usize>,
         rs: &mut RouteStats,
     ) {
         let engine = &self.engines[s];
@@ -400,7 +398,7 @@ impl ShardRouter {
                     &mut lane.frames[s],
                     cell,
                     eta,
-                    Some(skip),
+                    Some(&lane.delta),
                     self.cfg.prefetch,
                     self.cfg.budget,
                 ) {
@@ -459,7 +457,7 @@ impl ShardRouter {
                     &mut lane.frames[s],
                     cell,
                     eta,
-                    Some(skip),
+                    Some(&lane.delta),
                     self.cfg.prefetch,
                     self.cfg.budget,
                 ) {

@@ -28,10 +28,12 @@ use crate::{Page, PageId, Result, StorageError, PAGE_SIZE};
 use std::any::Any;
 use std::sync::{Arc, OnceLock};
 
-/// The memoized outcome of one decode. Errors are cached as their display
-/// string ([`StorageError`] is not `Clone`); the bytes are immutable, so a
-/// failed decode is deterministic and rerunning it would be wasted work.
-type OverlaySlot = OnceLock<std::result::Result<Arc<dyn Any + Send + Sync>, String>>;
+/// The memoized outcome of one decode: the boxed `Arc<T>`, so a caller can
+/// borrow the `Arc` itself ([`Frame::decoded`]) and clone it only when it
+/// must outlive the frame. Errors are cached as their display string
+/// ([`StorageError`] is not `Clone`); the bytes are immutable, so a failed
+/// decode is deterministic and rerunning it would be wasted work.
+type OverlaySlot = OnceLock<std::result::Result<Box<dyn Any + Send + Sync>, String>>;
 
 /// Where a frame's bytes live.
 #[derive(Debug)]
@@ -138,15 +140,27 @@ impl Frame {
         T: Any + Send + Sync,
         F: FnOnce(&[u8]) -> Result<T>,
     {
+        self.overlay_with(decode, Arc::clone)
+    }
+
+    /// [`overlay`](Self::overlay), handing `pick` a borrow of the overlay's
+    /// `Arc` instead of a clone: callers that need only part of a decoded
+    /// page (one record of a V-page vector) take just that part. Same
+    /// decode-once semantics, errors and `hdov-obs` counters as `overlay`.
+    pub fn overlay_with<T, F, R>(&self, decode: F, pick: impl FnOnce(&Arc<T>) -> R) -> Result<R>
+    where
+        T: Any + Send + Sync,
+        F: FnOnce(&[u8]) -> Result<T>,
+    {
         if !self.cache_overlay {
             hdov_obs::add(hdov_obs::Counter::DecodeMisses, 1);
-            return decode(self.bytes()).map(Arc::new);
+            return decode(self.bytes()).map(|v| pick(&Arc::new(v)));
         }
         let mut ran = false;
         let slot = self.overlay.get_or_init(|| {
             ran = true;
             match decode(self.bytes()) {
-                Ok(v) => Ok(Arc::new(v) as Arc<dyn Any + Send + Sync>),
+                Ok(v) => Ok(Box::new(Arc::new(v)) as Box<dyn Any + Send + Sync>),
                 Err(e) => Err(e.to_string()),
             }
         });
@@ -156,7 +170,7 @@ impl Frame {
             hdov_obs::add(hdov_obs::Counter::DecodeHits, 1);
         }
         match slot {
-            Ok(any) => Arc::clone(any).downcast::<T>().map_err(|_| {
+            Ok(any) => any.downcast_ref::<Arc<T>>().map(pick).ok_or_else(|| {
                 StorageError::Corrupt(format!(
                     "{} overlay requested as two different types",
                     self.id
@@ -164,6 +178,24 @@ impl Frame {
             }),
             Err(msg) => Err(StorageError::Corrupt(msg.clone())),
         }
+    }
+
+    /// The memoized overlay, borrowed: `Some` only when this frame caches
+    /// overlays and has already decoded one of type `T` — no decode, no
+    /// refcount traffic. Counts `decode_hits` like a memoized
+    /// [`overlay`](Self::overlay) call. `None` (counting nothing) when the
+    /// overlay is not decoded yet, overlays are off, or the memoized decode
+    /// failed or has another type; [`overlay_with`](Self::overlay_with)
+    /// reports those cases.
+    pub(crate) fn decoded<T: Any + Send + Sync>(&self) -> Option<&Arc<T>> {
+        let overlay = self
+            .overlay
+            .get()?
+            .as_ref()
+            .ok()?
+            .downcast_ref::<Arc<T>>()?;
+        hdov_obs::add(hdov_obs::Counter::DecodeHits, 1);
+        Some(overlay)
     }
 }
 

@@ -10,8 +10,9 @@
 //!   [`MemPagedFile`]; any number of threads may read it.
 //! * [`SharedCachedFile`] — a buffer pool over a frozen file, striped into
 //!   independently locked LRU shards keyed by page id, so concurrent readers
-//!   contend only when they touch the same stripe. Global pool counters are
-//!   plain atomics ([`AtomicIoStats`]).
+//!   contend only when they touch the same stripe. Hits are counted by each
+//!   stripe's LRU under the lock the probe already holds; misses and
+//!   simulated time are plain atomics ([`AtomicIoStats`]).
 //! * [`IoCursor`] — the *per-session* half of the simulated-disk cost model.
 //!   Seek-vs-transfer charging needs a disk-head position, which cannot be
 //!   shared state once N sessions interleave; each session carries its own
@@ -341,8 +342,11 @@ impl FrozenPages {
     }
 }
 
-/// Atomic I/O counters for the shared pool: safe to bump from any thread,
-/// readable without stopping the world.
+/// Atomic I/O counters for the shared pool's misses: safe to bump from any
+/// thread, readable without stopping the world. Every miss is exactly one
+/// counted page read, so `page_reads` is the pool's miss count; hits are
+/// not here — each stripe's LRU counts them under its own lock, so a hit
+/// writes no shared cache line (see [`SharedCachedFile::hit_stats`]).
 ///
 /// Simulated elapsed time is kept in integer nanoseconds so concurrent adds
 /// stay exact (every [`DiskModel`] cost is a whole number of nanoseconds).
@@ -351,8 +355,6 @@ pub struct AtomicIoStats {
     page_reads: AtomicU64,
     sequential_reads: AtomicU64,
     random_reads: AtomicU64,
-    pool_hits: AtomicU64,
-    pool_misses: AtomicU64,
     elapsed_ns: AtomicU64,
 }
 
@@ -381,7 +383,6 @@ impl AtomicIoStats {
 
     fn record_miss(&self, sequential: bool, cost_us: f64) {
         self.page_reads.fetch_add(1, Ordering::Relaxed);
-        self.pool_misses.fetch_add(1, Ordering::Relaxed);
         if sequential {
             self.sequential_reads.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -390,22 +391,15 @@ impl AtomicIoStats {
         self.add_elapsed_us(cost_us);
     }
 
-    fn record_hit(&self) {
-        self.pool_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Adds pure simulated time (retry backoff, latency spikes) without
     /// touching any read counter: penalties are time, not I/O.
     fn record_penalty(&self, cost_us: f64) {
         self.add_elapsed_us(cost_us);
     }
 
-    /// `(hits, misses)` over all shards since construction.
-    pub fn hit_stats(&self) -> (u64, u64) {
-        (
-            self.pool_hits.load(Ordering::Relaxed),
-            self.pool_misses.load(Ordering::Relaxed),
-        )
+    /// Pool misses since construction (one counted page read each).
+    fn misses(&self) -> u64 {
+        self.page_reads.load(Ordering::Relaxed)
     }
 
     /// Snapshot as a plain [`IoStats`] (writes are always 0: the store is
@@ -477,19 +471,21 @@ impl IoCursor {
 
 /// A lock-striped LRU buffer pool over a [`FrozenPages`] snapshot.
 ///
-/// `read_frame`/`read_page` take `&self`: all mutability is interior (the
-/// shard mutexes and the atomic counters), so any number of sessions can
-/// share one pool. Pages are assigned to shards by `page_id % shards`,
+/// `read_frame`/`read_overlay`/`read_page` take `&self`: all mutability is
+/// interior (the shard mutexes and the atomic miss counters), so any number
+/// of sessions can share one pool. Pages are assigned to shards by `page_id % shards`,
 /// which spreads sequential runs across stripes and keeps a hot run from
 /// serializing on one lock.
 ///
 /// Shards hold [`Arc<Frame>`]s: the zero-copy [`read_frame`] hands back a
-/// clone of the pooled `Arc` (a pointer bump, no page memcpy), and the
-/// frame's decoded overlay lives exactly as long as the frame stays pooled
-/// — eviction drops the pool's `Arc`, and the overlay dies with the last
-/// session reference.
+/// clone of the pooled `Arc` (a pointer bump, no page memcpy), and
+/// [`read_overlay`] hands the caller the frame's memoized decoded overlay
+/// while the stripe lock is held, without cloning the frame at all. The
+/// overlay lives exactly as long as the frame stays pooled — eviction drops
+/// the pool's `Arc`, and the overlay dies with the last session reference.
 ///
 /// [`read_frame`]: Self::read_frame
+/// [`read_overlay`]: Self::read_overlay
 #[derive(Debug)]
 pub struct SharedCachedFile {
     data: FrozenPages,
@@ -667,14 +663,21 @@ impl SharedCachedFile {
         self.shards.len()
     }
 
-    /// Global pool counters.
+    /// Global pool miss and simulated-time counters.
     pub fn stats(&self) -> &AtomicIoStats {
         &self.stats
     }
 
-    /// `(hits, misses)` summed over every access since construction.
+    /// `(hits, misses)` summed over every access since construction: hits
+    /// summed over the stripes' LRU counters (taking each stripe lock
+    /// once), misses from the atomic counters.
     pub fn hit_stats(&self) -> (u64, u64) {
-        self.stats.hit_stats()
+        let hits = self
+            .shards
+            .iter()
+            .map(|s| lock_shard(s).hit_stats().0)
+            .sum();
+        (hits, self.stats.misses())
     }
 
     /// Pool hit rate in `[0, 1]` (0 when the pool is untouched).
@@ -688,8 +691,8 @@ impl SharedCachedFile {
     }
 
     /// Per-shard `(hits, misses)` from each stripe's own LRU counters —
-    /// their sums must equal [`hit_stats`](Self::hit_stats) (covered by
-    /// tests).
+    /// their sums equal [`hit_stats`](Self::hit_stats) whenever no miss
+    /// failed to load (covered by tests).
     pub fn per_shard_hit_stats(&self) -> Vec<(u64, u64)> {
         self.shards
             .iter()
@@ -842,6 +845,39 @@ impl SharedCachedFile {
         Ok(frame)
     }
 
+    /// Reads page `id`'s decoded overlay — decoding it with `decode` on
+    /// first use, exactly like [`Frame::overlay`] — and returns what `pick`
+    /// makes of it, charging any miss against `cursor`.
+    ///
+    /// The walkthrough hot path: on a hit whose overlay is already decoded,
+    /// `pick` runs on the memoized overlay while the stripe lock is still
+    /// held, so the read clones neither the frame `Arc` nor the overlay
+    /// `Arc` — only whatever `pick` returns. A miss, a hit on a frame not
+    /// yet decoded, or a pool with overlays off takes the frame and decodes
+    /// outside the lock, as [`read_frame`](Self::read_frame) followed by
+    /// [`Frame::overlay_with`] would. Hit/miss sequence, charging and every
+    /// `hdov-obs` counter are those of that pair.
+    pub fn read_overlay<T, R>(
+        &self,
+        cursor: &mut IoCursor,
+        id: PageId,
+        decode: impl FnOnce(&[u8]) -> Result<T>,
+        pick: impl Fn(&Arc<T>) -> R,
+    ) -> Result<R>
+    where
+        T: std::any::Any + Send + Sync,
+    {
+        let found = self.lookup(cursor, id, true, |frame| match frame.decoded::<T>() {
+            Some(overlay) => Probe::Served(pick(overlay)),
+            None => Probe::Frame(Arc::clone(frame)),
+        })?;
+        hdov_obs::add(hdov_obs::Counter::BytesCopiedSaved, PAGE_SIZE as u64);
+        match found {
+            Probe::Served(r) => Ok(r),
+            Probe::Frame(frame) => frame.overlay_with(decode, pick),
+        }
+    }
+
     /// Builds the frame a miss admits, before any charging.
     ///
     /// The mmap fast path: with no faults armed, a mapped store's frame
@@ -869,25 +905,65 @@ impl SharedCachedFile {
     }
 
     fn read_frame_inner(&self, cursor: &mut IoCursor, id: PageId) -> Result<Arc<Frame>> {
+        match self.lookup(cursor, id, true, |frame| Probe::Served(Arc::clone(frame)))? {
+            Probe::Served(frame) | Probe::Frame(frame) => Ok(frame),
+        }
+    }
+
+    /// The single probe/admit path behind every pool read.
+    ///
+    /// Bounds-checks `id`, locks its stripe and looks it up — promoting on
+    /// a hit when `promote`, leaving the eviction order alone otherwise.
+    /// The stripe's LRU counts the hit under the lock, and `on_hit` runs
+    /// while the lock is still held. A miss builds the frame, charges
+    /// `cursor`, counts the miss and installs the frame (see
+    /// [`admit`](Self::admit)), returning it as [`Probe::Frame`].
+    fn lookup<R>(
+        &self,
+        cursor: &mut IoCursor,
+        id: PageId,
+        promote: bool,
+        on_hit: impl FnOnce(&Arc<Frame>) -> Probe<R>,
+    ) -> Result<Probe<R>> {
         let _probe = hdov_obs::span(hdov_obs::Phase::CacheProbe);
         // Bounds-check before any accounting: errors are never charged.
         self.data.check(id)?;
-        let shard = &self.shards[(id.0 % self.shards.len() as u64) as usize];
-        let mut pool = lock_shard(shard);
-        if let Some(frame) = pool.get(&id.0) {
-            let frame = Arc::clone(frame);
-            self.stats.record_hit();
+        let mut pool = self.shard_of(id);
+        let hit = if promote {
+            pool.get(&id.0)
+        } else {
+            pool.probe(&id.0)
+        };
+        if let Some(frame) = hit {
             hdov_obs::add(hdov_obs::Counter::PoolHits, 1);
-            return Ok(frame);
+            return Ok(on_hit(frame));
         }
         // A failed or corrupt fetch returns here before any read is
         // counted or any frame built: poison never enters the pool.
-        let frame = Arc::new(self.build_frame(cursor, id)?);
+        let frame = self.build_frame(cursor, id)?;
+        Ok(Probe::Frame(self.admit(&mut pool, cursor, id, frame)))
+    }
+
+    /// Charges `cursor` for the miss on `id`, counts it, and installs
+    /// `frame` in `pool` — the stripe whose lock the caller holds.
+    fn admit(
+        &self,
+        pool: &mut LruCache<u64, Arc<Frame>>,
+        cursor: &mut IoCursor,
+        id: PageId,
+        frame: Frame,
+    ) -> Arc<Frame> {
+        let frame = Arc::new(frame);
         let (sequential, cost) = cursor.charge_read(id, self.model);
         self.stats.record_miss(sequential, cost);
         hdov_obs::add(hdov_obs::Counter::PoolMisses, 1);
         pool.insert(id.0, Arc::clone(&frame));
-        Ok(frame)
+        frame
+    }
+
+    /// Locks the stripe holding page `id`.
+    fn shard_of(&self, id: PageId) -> MutexGuard<'_, LruCache<u64, Arc<Frame>>> {
+        lock_shard(&self.shards[(id.0 % self.shards.len() as u64) as usize])
     }
 
     /// Reads page `id` into `out`, charging any miss against `cursor`.
@@ -910,20 +986,7 @@ impl SharedCachedFile {
     /// *might* use must not displace genuinely hot recency state); a miss
     /// is charged and installed exactly like [`read_frame`](Self::read_frame).
     pub fn warm(&self, cursor: &mut IoCursor, id: PageId) -> Result<()> {
-        let _probe = hdov_obs::span(hdov_obs::Phase::CacheProbe);
-        self.data.check(id)?;
-        let shard = &self.shards[(id.0 % self.shards.len() as u64) as usize];
-        let mut pool = lock_shard(shard);
-        if pool.probe(&id.0).is_some() {
-            self.stats.record_hit();
-            hdov_obs::add(hdov_obs::Counter::PoolHits, 1);
-            return Ok(());
-        }
-        let frame = Arc::new(self.build_frame(cursor, id)?);
-        let (sequential, cost) = cursor.charge_read(id, self.model);
-        self.stats.record_miss(sequential, cost);
-        hdov_obs::add(hdov_obs::Counter::PoolMisses, 1);
-        pool.insert(id.0, frame);
+        self.lookup(cursor, id, false, |_| Probe::Served(()))?;
         Ok(())
     }
 
@@ -938,8 +1001,10 @@ impl SharedCachedFile {
     /// backends issue **one** operation for the whole run — a single
     /// `madvise(WILLNEED)` readahead on the mmap path, a single `pread` of
     /// the run's byte range on the pread path (misses are then installed
-    /// from that buffer, not re-read page by page). The mem backend issues
-    /// none. Each call bumps `prefetch_runs`; the physical operations bump
+    /// from that buffer, not re-read page by page). Only those two need the
+    /// residency pre-scan that decides on the physical read; the mem
+    /// backend issues none and skips the scan. Each call bumps
+    /// `prefetch_runs`; the physical operations bump
     /// `phys_reads` at the syscall wrappers, so on a cold file backend
     /// `phys_reads` counts exactly one per run.
     ///
@@ -950,19 +1015,25 @@ impl SharedCachedFile {
             return Ok(());
         }
         hdov_obs::add(hdov_obs::Counter::PrefetchRuns, 1);
-        if self.replicas.any_faults() {
+        let mut warm_each = || -> Result<()> {
             for k in 0..len {
                 self.warm(cursor, PageId(first.0 + k))?;
             }
-            return Ok(());
+            Ok(())
+        };
+        let (mapped, pread) = (self.data.mapped(), self.data.pread_store());
+        // Only a file backend has a physical read to coalesce, so only it
+        // pre-scans the run for residency; mem warms page by page directly.
+        if self.replicas.any_faults() || (mapped.is_none() && pread.is_none()) {
+            return warm_each();
         }
         let missing = (0..len).any(|k| !self.contains(PageId(first.0 + k)));
         if missing {
-            if let Some(store) = self.data.mapped() {
+            if let Some(store) = mapped {
                 store.advise_willneed(first, len);
             }
         }
-        let run_buf = match (missing, self.data.pread_store()) {
+        let run_buf = match (missing, pread) {
             (true, Some(store)) => {
                 let mut buf = vec![0u8; len as usize * PAGE_SIZE];
                 store.read_run(first, len, &mut buf)?;
@@ -971,20 +1042,15 @@ impl SharedCachedFile {
             _ => None,
         };
         let Some(buf) = run_buf else {
-            for k in 0..len {
-                self.warm(cursor, PageId(first.0 + k))?;
-            }
-            return Ok(());
+            return warm_each();
         };
         // Pread path: install misses from the single run read. Counter and
         // charging order per page mirrors `warm` exactly.
         for k in 0..len {
             let id = PageId(first.0 + k);
             let _probe = hdov_obs::span(hdov_obs::Phase::CacheProbe);
-            let shard = &self.shards[(id.0 % self.shards.len() as u64) as usize];
-            let mut pool = lock_shard(shard);
+            let mut pool = self.shard_of(id);
             if pool.probe(&id.0).is_some() {
-                self.stats.record_hit();
                 hdov_obs::add(hdov_obs::Counter::PoolHits, 1);
                 continue;
             }
@@ -1000,21 +1066,26 @@ impl SharedCachedFile {
             }
             let mut page = Page::zeroed();
             page.bytes_mut().copy_from_slice(bytes);
-            let frame = Arc::new(Frame::with_overlay_policy(id, page, self.cache_overlay));
-            let (sequential, cost) = cursor.charge_read(id, self.model);
-            self.stats.record_miss(sequential, cost);
-            hdov_obs::add(hdov_obs::Counter::PoolMisses, 1);
-            pool.insert(id.0, frame);
+            let frame = Frame::with_overlay_policy(id, page, self.cache_overlay);
+            self.admit(&mut pool, cursor, id, frame);
         }
         Ok(())
     }
 
     /// True if page `id` is currently pooled (no promotion, no counters).
     pub fn contains(&self, id: PageId) -> bool {
-        lock_shard(&self.shards[(id.0 % self.shards.len() as u64) as usize])
-            .peek(&id.0)
-            .is_some()
+        self.shard_of(id).peek(&id.0).is_some()
     }
+}
+
+/// What [`SharedCachedFile::lookup`] found.
+enum Probe<R> {
+    /// A hit, served while the stripe lock was held.
+    Served(R),
+    /// The pooled frame, for the caller to finish outside the lock (a hit
+    /// the caller could not serve under the lock, or a freshly admitted
+    /// miss).
+    Frame(Arc<Frame>),
 }
 
 #[cfg(test)]

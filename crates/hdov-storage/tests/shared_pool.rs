@@ -5,11 +5,15 @@
 //! 2. single-shard [`SharedCachedFile`] matches single-threaded
 //!    [`CachedFile`] hit/miss/eviction and simulated-cost accounting on the
 //!    same access trace,
-//! 3. atomic [`AtomicIoStats`] totals equal the sum of per-shard LRU
-//!    counters.
+//! 3. [`SharedCachedFile::hit_stats`] totals equal the sum of per-shard LRU
+//!    counters, also when frame reads, run warms and overlay reads (served
+//!    under the stripe lock) race on every backend.
+
+use std::sync::Arc;
 
 use hdov_storage::{
-    CachedFile, DiskModel, IoCursor, MemPagedFile, Page, PageId, PagedFile, SharedCachedFile,
+    CachedFile, DiskModel, FrozenPages, IoCursor, MemPagedFile, Page, PageId, PagedFile,
+    SharedCachedFile,
 };
 
 const N_PAGES: u64 = 64;
@@ -186,4 +190,112 @@ fn atomic_totals_equal_shard_sums() {
     // Striping by `page % shards` must spread a uniform trace over every
     // shard.
     assert!(per_shard.iter().all(|(h, m)| h + m > 0));
+}
+
+/// The first 8 bytes of a page as the page's own index (every test page
+/// stores its id there).
+fn page_no(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().unwrap())
+}
+
+#[test]
+fn mixed_reads_account_every_probe_on_every_backend() {
+    const THREADS: usize = 4;
+    const STEPS: usize = 1_500;
+    let dir = std::env::temp_dir().join(format!("hdov_shared_pool_mixed_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("pages.hdov");
+    FrozenPages::from_mem(mem_file())
+        .write_store(&path, 1)
+        .unwrap();
+    let backends = [
+        ("mem", FrozenPages::from_mem(mem_file())),
+        ("mmap", FrozenPages::open_mmap(&path).unwrap()),
+        ("pread", FrozenPages::open_pread(&path).unwrap()),
+    ];
+
+    for (label, data) in backends {
+        // 24 of 64 pages pooled over 6 stripes: constant eviction, and
+        // overlays decoded by one thread are served to the others.
+        let pool = SharedCachedFile::new(data, DiskModel::MODERN_SSD, 24, 6);
+        let probes: Vec<(u64, u64)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let pool = &pool;
+                    s.spawn(move || {
+                        let mut cur = IoCursor::new();
+                        let mut probes = 0u64;
+                        for (step, id) in trace(7 + t as u64, STEPS).into_iter().enumerate() {
+                            match step % 4 {
+                                0 => {
+                                    let f = pool.read_frame(&mut cur, PageId(id)).unwrap();
+                                    assert_eq!(page_no(f.bytes()), id);
+                                    probes += 1;
+                                }
+                                1 => {
+                                    let len = (N_PAGES - id).min(3);
+                                    pool.warm_run(&mut cur, PageId(id), len).unwrap();
+                                    probes += len;
+                                }
+                                // Pages below 32 decode as a node-like
+                                // value, the rest as a V-page-like vector
+                                // of records picked by slot.
+                                _ if id < N_PAGES / 2 => {
+                                    let v = pool
+                                        .read_overlay(
+                                            &mut cur,
+                                            PageId(id),
+                                            |b| Ok(page_no(b)),
+                                            Arc::clone,
+                                        )
+                                        .unwrap();
+                                    assert_eq!(*v, id);
+                                    probes += 1;
+                                }
+                                _ => {
+                                    let slot = step % 3;
+                                    let v = pool
+                                        .read_overlay(
+                                            &mut cur,
+                                            PageId(id),
+                                            |b| {
+                                                Ok((0..3)
+                                                    .map(|k| Arc::new(page_no(b) + k))
+                                                    .collect())
+                                            },
+                                            |recs: &Arc<Vec<Arc<u64>>>| Arc::clone(&recs[slot]),
+                                        )
+                                        .unwrap();
+                                    assert_eq!(*v, id + slot as u64);
+                                    probes += 1;
+                                }
+                            }
+                        }
+                        (probes, cur.stats().page_reads)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+
+        let total_probes: u64 = probes.iter().map(|p| p.0).sum();
+        let cursor_misses: u64 = probes.iter().map(|p| p.1).sum();
+        let (hits, misses) = pool.hit_stats();
+        assert_eq!(
+            hits + misses,
+            total_probes,
+            "{label}: every probe is a hit or a miss"
+        );
+        assert_eq!(misses, cursor_misses, "{label}: every miss is charged once");
+        let per_shard = pool.per_shard_hit_stats();
+        let sums = per_shard
+            .iter()
+            .fold((0, 0), |(h, m), &(sh, sm)| (h + sh, m + sm));
+        assert_eq!(sums, (hits, misses), "{label}: stripes sum to hit_stats");
+        assert!(
+            hits > 0 && misses > N_PAGES,
+            "{label}: the trace must hit and evict"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
