@@ -13,7 +13,7 @@
 //! visibility queries against the currently published epoch. Reported:
 //! simulated read latency, wall-clock commit latency, and dirty-cell counts.
 
-use hdov_bench::{mean, print_table, write_csv, EvalScene, RunOptions, ETA_SWEEP};
+use hdov_bench::{arg_value, mean, print_table, write_csv, EvalScene, RunOptions, ETA_SWEEP};
 use hdov_core::{search_shared, MutableScene, PoolConfig, SessionCtx, StorageScheme};
 use hdov_geom::Vec3;
 use hdov_scene::CityConfig;
@@ -22,22 +22,12 @@ use hdov_visibility::CellGridConfig;
 
 fn write_fraction() -> f64 {
     let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        let val = if let Some(v) = a.strip_prefix("--write-fraction=") {
-            Some(v.to_string())
-        } else if a == "--write-fraction" {
-            args.get(i + 1).cloned()
-        } else {
-            None
-        };
-        if let Some(v) = val {
-            return v.parse().unwrap_or_else(|_| {
-                eprintln!("bad --write-fraction {v:?}; expected a number in [0, 1]");
-                std::process::exit(2);
-            });
-        }
-    }
-    0.0
+    arg_value(&args, "--write-fraction").map_or(0.0, |v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("bad --write-fraction {v:?}; expected a number in [0, 1]");
+            std::process::exit(2);
+        })
+    })
 }
 
 fn main() {

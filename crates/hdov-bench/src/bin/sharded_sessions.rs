@@ -18,22 +18,12 @@
 //! The printed contract lines are re-grepped by CI so a silently weakened
 //! binary still fails the job.
 
-use hdov_bench::{print_table, write_csv, EvalScene, RunOptions};
+use hdov_bench::{arg_value, print_table, write_csv, EvalScene, RunOptions};
 use hdov_core::{PoolConfig, StorageScheme};
 use hdov_shard::{
     BreakerState, RouterConfig, ShardChaos, ShardRouter, ShardedConfig, ShardedServer,
 };
 use hdov_walkthrough::{ServerConfig, ServerReport, Session, SessionKind, SessionServer};
-
-/// Parses `--flag <v>` / `--flag=<v>` out of the raw argument list.
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    let eq = format!("{flag}=");
-    args.iter().enumerate().find_map(|(i, a)| {
-        a.strip_prefix(&eq)
-            .map(str::to_string)
-            .or_else(|| (a == flag).then(|| args.get(i + 1).cloned()).flatten())
-    })
-}
 
 fn main() {
     let opts = RunOptions::from_args();

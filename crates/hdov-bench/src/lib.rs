@@ -96,6 +96,17 @@ impl BenchBackend {
     }
 }
 
+/// The value of `flag` in `args`, given as `--flag <v>` or `--flag=<v>`;
+/// the first occurrence that carries a value wins.
+pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
+    let eq = format!("{flag}=");
+    args.iter().enumerate().find_map(|(i, a)| {
+        a.strip_prefix(&eq)
+            .map(str::to_string)
+            .or_else(|| (a == flag).then(|| args.get(i + 1).cloned()).flatten())
+    })
+}
+
 /// Harness run options.
 #[derive(Debug, Clone, Copy)]
 pub struct RunOptions {
@@ -116,70 +127,47 @@ pub struct RunOptions {
 impl RunOptions {
     /// Parses `--quick`, `--backend <mem|file|file:mmap|file:pread>` (with
     /// an optional `@N` replica suffix), `--replicas <n>`, and `--codec
-    /// <raw|delta>` (also the `--flag=<...>` forms) from the process
-    /// arguments.
+    /// <raw|delta>` (also the `--flag=<...>` forms, see [`arg_value`]) from
+    /// the process arguments. An explicit `--replicas` wins over an `@N`
+    /// suffix.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
         let quick = args.iter().any(|a| a == "--quick" || a == "-q");
         let mut backend = BenchBackend::Mem;
-        let mut codec = VPageCodec::default();
         let mut replicas = 1usize;
-        for (i, a) in args.iter().enumerate() {
-            let val = if let Some(v) = a.strip_prefix("--backend=") {
-                Some(v.to_string())
-            } else if a == "--backend" {
-                args.get(i + 1).cloned()
-            } else {
-                None
+        if let Some(v) = arg_value(&args, "--backend") {
+            let (base, copies) = match v.split_once('@') {
+                Some((b, n)) => (b, n.parse::<usize>().ok().filter(|&n| n >= 1)),
+                None => (v.as_str(), Some(1)),
             };
-            if let Some(v) = val {
-                let (base, copies) = match v.split_once('@') {
-                    Some((b, n)) => (b, n.parse::<usize>().ok().filter(|&n| n >= 1)),
-                    None => (v.as_str(), Some(replicas)),
-                };
-                backend = BenchBackend::parse(base).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown --backend {v:?}; use mem, file, file:mmap, or file:pread \
-                         (optionally with an @N replica suffix)"
-                    );
-                    std::process::exit(2);
-                });
-                replicas = copies.unwrap_or_else(|| {
-                    eprintln!("bad replica count in --backend {v:?}");
-                    std::process::exit(2);
-                });
-            }
-            let rval = if let Some(v) = a.strip_prefix("--replicas=") {
-                Some(v.to_string())
-            } else if a == "--replicas" {
-                args.get(i + 1).cloned()
-            } else {
-                None
-            };
-            if let Some(v) = rval {
-                replicas = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("bad --replicas {v:?}; use an integer >= 1");
-                        std::process::exit(2);
-                    });
-            }
-            let cval = if let Some(v) = a.strip_prefix("--codec=") {
-                Some(v.to_string())
-            } else if a == "--codec" {
-                args.get(i + 1).cloned()
-            } else {
-                None
-            };
-            if let Some(v) = cval {
-                codec = VPageCodec::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown --codec {v:?}; use raw or delta");
-                    std::process::exit(2);
-                });
-            }
+            backend = BenchBackend::parse(base).unwrap_or_else(|| {
+                eprintln!(
+                    "unknown --backend {v:?}; use mem, file, file:mmap, or file:pread \
+                     (optionally with an @N replica suffix)"
+                );
+                std::process::exit(2);
+            });
+            replicas = copies.unwrap_or_else(|| {
+                eprintln!("bad replica count in --backend {v:?}");
+                std::process::exit(2);
+            });
         }
+        if let Some(v) = arg_value(&args, "--replicas") {
+            replicas = v
+                .parse::<usize>()
+                .ok()
+                .filter(|&n| n >= 1)
+                .unwrap_or_else(|| {
+                    eprintln!("bad --replicas {v:?}; use an integer >= 1");
+                    std::process::exit(2);
+                });
+        }
+        let codec = arg_value(&args, "--codec").map_or_else(VPageCodec::default, |v| {
+            VPageCodec::parse(&v).unwrap_or_else(|| {
+                eprintln!("unknown --codec {v:?}; use raw or delta");
+                std::process::exit(2);
+            })
+        });
         if replicas > 1 && backend == BenchBackend::Mem {
             eprintln!("--replicas {replicas} needs a file backend (mem stores are not replicated)");
             std::process::exit(2);

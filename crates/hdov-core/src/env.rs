@@ -112,16 +112,7 @@ impl HdovEnvironment {
 
     /// Query by cell id.
     pub fn query_cell(&mut self, cell: CellId, eta: f64) -> Result<(QueryResult, SearchStats)> {
-        self.tree.reset_io();
-        self.objects.disk.reset_stats();
-        search(
-            &mut self.tree,
-            self.vstore.as_mut(),
-            &mut self.objects,
-            cell,
-            eta,
-            None,
-        )
+        self.query_cell_budgeted(cell, eta, crate::QueryBudget::UNLIMITED)
     }
 
     /// [`query_cell`](Self::query_cell) under a

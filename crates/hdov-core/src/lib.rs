@@ -38,6 +38,7 @@ pub mod shard;
 pub mod shared;
 pub mod storage;
 pub mod vpage;
+mod walk;
 
 pub use budget::QueryBudget;
 pub use build::{HdovBuildConfig, HdovTree, TerminationHeuristic};

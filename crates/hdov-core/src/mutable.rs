@@ -394,8 +394,8 @@ impl MutableScene {
     ///
     /// Pipeline: apply the staged backbone mutations; compute the dirty cell
     /// set from the *previous* table (old visibility of moved objects, plus
-    /// cells whose unoccluded solid-angle bound on any changed region
-    /// reaches the estimator's resolution); materialise the dense scene;
+    /// cells one of whose sampled estimator rays passes through a changed
+    /// region); materialise the dense scene;
     /// re-estimate only the dirty cells; page-diff the re-encoded files
     /// against the previous epoch's images; WAL-commit the changed pages;
     /// rebuild and publish the derived environment.
@@ -429,7 +429,7 @@ impl MutableScene {
         // 2. Dirty cells, judged against the previous epoch's visibility.
         let dirty = self
             .dov
-            .affected_cells(&self.grid, &w.changed_old, &w.regions);
+            .affected_cells(&self.grid, &self.cfg.dov, &w.changed_old, &w.regions);
         hdov_obs::add(Counter::DovRepatches, dirty.len() as u64);
 
         // 3. Dense view of the edited scene.

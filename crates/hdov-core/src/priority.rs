@@ -16,10 +16,10 @@
 
 use crate::build::HdovTree;
 use crate::delta::DeltaSearch;
-use crate::search::{terminates_entry, ObjectModels, QueryResult, ResultEntry, ResultKey};
+use crate::search::{ObjectModels, QueryResult, ResultKey};
 use crate::storage::VisibilityStore;
+use crate::walk::{internal_k, object_k, resolve, terminates, SeqSource, Source};
 use crate::SearchStats;
-use hdov_geom::solid_angle::MAX_DOV;
 use hdov_geom::{Aabb, Frustum};
 use hdov_storage::Result;
 use hdov_visibility::CellId;
@@ -62,7 +62,7 @@ impl Ord for Priority {
 enum Work {
     Node(u32),
     Object { id: u64, dov: f32 },
-    Internal { ordinal: u32, dov: f32, eta: f64 },
+    Internal { ordinal: u32, dov: f32 },
 }
 
 struct Item {
@@ -138,11 +138,13 @@ pub fn search_prioritized_delta(
     skip: Option<&DeltaSearch>,
 ) -> Result<(PrioritizedOutcome, SearchStats)> {
     assert!(eta >= 0.0, "eta must be non-negative");
-    let node_io0 = tree.node_io();
-    let internal_io0 = tree.internal_io();
-    let model_io0 = objects.disk.stats();
-    vstore.reset_stats();
-    vstore.enter_cell(cell)?;
+    let mut src = SeqSource {
+        tree,
+        vstore,
+        objects,
+    };
+    let start = src.begin();
+    src.enter_cell(cell)?;
 
     let mut stats = SearchStats::default();
     let mut out = QueryResult::default();
@@ -163,124 +165,75 @@ pub fn search_prioritized_delta(
         &mut heap,
         &mut seq,
         &root_mbr,
-        Work::Node(tree.root_ordinal()),
+        Work::Node(src.root_ordinal()),
     );
 
     let mut completed = true;
-    let spent = |tree: &HdovTree,
-                 objects: &ObjectModels,
-                 vstore: &dyn VisibilityStore,
-                 stats: &SearchStats|
-     -> f64 {
-        let io = tree.node_io().since(&node_io0).elapsed_us
-            + tree.internal_io().since(&internal_io0).elapsed_us
-            + objects.disk.stats().since(&model_io0).elapsed_us
-            + vstore.stats().elapsed_us;
-        (io + stats.nodes_visited as f64 * crate::search::CPU_PER_NODE_US) / 1000.0
+    let spent = |src: &SeqSource, stats: &SearchStats| -> f64 {
+        let mut io = *stats;
+        src.finish(&start, &mut io);
+        let io_us = io.node_io.elapsed_us
+            + io.internal_io.elapsed_us
+            + io.model_io.elapsed_us
+            + io.vstore_io.elapsed_us;
+        (io_us + stats.nodes_visited as f64 * crate::search::CPU_PER_NODE_US) / 1000.0
     };
 
     while let Some(item) = heap.pop() {
         if let Some(budget) = budget_ms {
-            if spent(tree, objects, &*vstore, &stats) >= budget {
+            if spent(&src, &stats) >= budget {
                 completed = false;
                 break;
             }
         }
         match item.work {
             Work::Node(ordinal) => {
-                let Some(vpage) = vstore.fetch(ordinal)? else {
+                let Some(vpage) = src.vpage(ordinal)? else {
                     continue;
                 };
                 stats.vpages_fetched += 1;
                 if !vpage.any_visible() {
                     continue;
                 }
-                let node = tree.read_node(ordinal)?;
+                let node = src.node(ordinal)?;
                 stats.nodes_visited += 1;
                 for (entry, ve) in node.entries.iter().zip(&vpage.entries) {
                     if ve.dov <= 0.0 {
                         continue;
                     }
-                    if entry.is_object() {
-                        push(
-                            &mut heap,
-                            &mut seq,
-                            &entry.mbr,
-                            Work::Object {
-                                id: entry.child,
-                                dov: ve.dov,
-                            },
-                        );
-                    } else if (ve.dov as f64) <= eta && terminates_entry(tree, entry, ve) {
-                        push(
-                            &mut heap,
-                            &mut seq,
-                            &entry.mbr,
-                            Work::Internal {
-                                ordinal: entry.child_ordinal,
-                                dov: ve.dov,
-                                eta,
-                            },
-                        );
+                    let work = if entry.is_object() {
+                        Work::Object {
+                            id: entry.child,
+                            dov: ve.dov,
+                        }
+                    } else if (ve.dov as f64) <= eta && terminates(&src, entry, ve) {
+                        Work::Internal {
+                            ordinal: entry.child_ordinal,
+                            dov: ve.dov,
+                        }
                     } else {
-                        push(
-                            &mut heap,
-                            &mut seq,
-                            &entry.mbr,
-                            Work::Node(entry.child_ordinal),
-                        );
-                    }
+                        Work::Node(entry.child_ordinal)
+                    };
+                    push(&mut heap, &mut seq, &entry.mbr, work);
                 }
             }
             Work::Object { id, dov } => {
-                let k = (dov as f64 / MAX_DOV).min(1.0);
-                let level = objects.store.select_level(id, k);
-                let key = ResultKey::Object(id);
-                let cached = skip.is_some_and(|s| s.is_resident(key, level));
-                let h = if cached {
-                    objects.store.handle(id, level)
-                } else {
-                    objects.store.fetch(&mut objects.disk, id, level)?
-                };
-                out.push_for_test(ResultEntry {
-                    key,
-                    level,
-                    polygons: h.polygons as u64,
-                    bytes: h.bytes as u64,
+                out.push(resolve(
+                    &mut src,
+                    ResultKey::Object(id),
+                    object_k(dov),
                     dov,
-                    cached,
-                });
+                    skip,
+                )?);
             }
-            Work::Internal { ordinal, dov, eta } => {
-                let k = if eta > 0.0 {
-                    (dov as f64 / eta).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                let level = crate::search::select_level(tree.internal_store(), ordinal as u64, k);
+            Work::Internal { ordinal, dov } => {
                 let key = ResultKey::Internal(ordinal);
-                let cached = skip.is_some_and(|s| s.is_resident(key, level));
-                let h = if cached {
-                    tree.internal_store().handle(ordinal as u64, level)
-                } else {
-                    tree.fetch_internal_lod(ordinal, level)?
-                };
-                out.push_for_test(ResultEntry {
-                    key,
-                    level,
-                    polygons: h.polygons as u64,
-                    bytes: h.bytes as u64,
-                    dov,
-                    cached,
-                });
+                out.push(resolve(&mut src, key, internal_k(dov, eta), dov, skip)?);
             }
         }
     }
 
-    stats.node_io = tree.node_io().since(&node_io0);
-    stats.internal_io = tree.internal_io().since(&internal_io0);
-    stats.model_io = objects.disk.stats().since(&model_io0);
-    stats.vstore_io = vstore.stats();
+    src.finish(&start, &mut stats);
     let spent_ms = stats.search_time_ms();
     Ok((
         PrioritizedOutcome {

@@ -1,29 +1,23 @@
 //! The HDoV-tree visibility query (paper Fig. 3) and the naïve
 //! (cell, list-of-objects) baseline.
 //!
-//! ```text
-//! Algorithm Search(Node)
-//! 1. for each entry E in Node
-//! 3.   if E.DoV = 0          -> prune the branch
-//! 4.   if E is leaf          -> add E.ptr->LoD_leaf      (Eq. 6)
-//! 7.   else if E.DoV <= eta and h(1 + log_M s) < log_M(E.NVO)
-//! 8.                         -> add E.ptr->LoD_internal  (Eq. 5)
-//! 10.  else                  -> Search(E.ptr)
-//! ```
+//! [`search`] and [`search_budgeted`] run the crate's one Fig. 3 walk over
+//! the sequential engine: `&mut` tree, [`VisibilityStore`] and
+//! [`ObjectModels`]. The concurrent ([`search_shared`](crate::shared::search_shared))
+//! and sharded ([`search_shard_into_budgeted`](crate::shard::search_shard_into_budgeted))
+//! entry points run the same walk over a session of the shared pools.
 //!
 //! Model retrieval is charged against the object / internal-LoD model files,
 //! V-page fetches against the [`VisibilityStore`], and node reads against the
 //! node file; [`SearchStats`] separates "light-weight" (nodes + V-pages) from
 //! "heavy-weight" (models) I/O exactly as the paper's Fig. 8 does.
 
-use crate::budget::{BudgetClock, QueryBudget};
-use crate::build::{HdovTree, TerminationHeuristic};
+use crate::budget::QueryBudget;
+use crate::build::HdovTree;
 use crate::delta::DeltaSearch;
-use crate::node::HdovEntry;
 use crate::storage::VisibilityStore;
-use crate::vpage::VEntry;
+use crate::walk::{self, Emit, SeqSource};
 use hdov_geom::solid_angle::MAX_DOV;
-use hdov_obs::{Counter, Hist, Phase};
 use hdov_scene::{ModelStore, Scene};
 use hdov_storage::{DiskModel, IoStats, Result, SimulatedDisk, StorageBackend, StoreFile};
 use hdov_visibility::CellId;
@@ -74,10 +68,6 @@ pub enum DegradeCause {
     ShardUnavailable,
 }
 
-/// The `error` string recorded on a [`DegradeCause::BudgetExhausted`] event
-/// (kept non-empty so every event explains itself, like absorbed errors do).
-pub(crate) const BUDGET_EXHAUSTED_DETAIL: &str = "query budget exhausted before descent";
-
 /// One degraded subtree: the subtree rooted at `ordinal` was not traversed
 /// (a read failure, or an exhausted budget) and was served as that node's
 /// internal LoD instead.
@@ -119,19 +109,18 @@ impl DegradeReport {
     /// (budget stops are counted separately by
     /// [`budget_stops`](Self::budget_stops)).
     pub fn errors_absorbed(&self) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| e.cause == DegradeCause::ReadError)
-            .count() as u64
+        self.count(DegradeCause::ReadError)
     }
 
     /// Subtrees served as internal LoDs because the query's
     /// [`QueryBudget`] ran out mid-descent.
     pub fn budget_stops(&self) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| e.cause == DegradeCause::BudgetExhausted)
-            .count() as u64
+        self.count(DegradeCause::BudgetExhausted)
+    }
+
+    /// Events with `cause`.
+    pub(crate) fn count(&self, cause: DegradeCause) -> u64 {
+        self.events.iter().filter(|e| e.cause == cause).count() as u64
     }
 
     /// Subtrees served as an ancestor's internal LoD after *read failures*
@@ -152,21 +141,6 @@ impl DegradeReport {
     /// remaining pages are unknown without traversing it).
     pub fn pages_skipped(&self) -> u64 {
         self.events.len() as u64
-    }
-
-    pub(crate) fn record(
-        &mut self,
-        ordinal: u32,
-        objects_coarse: u64,
-        cause: DegradeCause,
-        detail: &str,
-    ) {
-        self.events.push(DegradeEvent {
-            ordinal,
-            objects_coarse,
-            cause,
-            error: detail.to_string(),
-        });
     }
 }
 
@@ -230,30 +204,6 @@ impl QueryResult {
         self.entries.push(e);
     }
 
-    pub(crate) fn record_degrade(
-        &mut self,
-        ordinal: u32,
-        objects_coarse: u64,
-        cause: DegradeCause,
-        detail: &str,
-    ) {
-        self.degrade.record(ordinal, objects_coarse, cause, detail);
-    }
-
-    /// Snapshot of `(entries, degrade events)` lengths, for
-    /// [`rollback`](Self::rollback) when a descent fails mid-subtree.
-    pub(crate) fn mark(&self) -> (usize, usize) {
-        (self.entries.len(), self.degrade.events.len())
-    }
-
-    /// Drops everything pushed since `mark` — a failed subtree's partial
-    /// entries (and any fallbacks it recorded before dying) are superseded
-    /// by the single ancestor fallback that absorbs the propagated error.
-    pub(crate) fn rollback(&mut self, mark: (usize, usize)) {
-        self.entries.truncate(mark.0);
-        self.degrade.events.truncate(mark.1);
-    }
-
     /// Drops all entries, retaining the allocation — scratch buffers
     /// ([`SearchScratch`](crate::shared::SearchScratch)) reuse one result
     /// across queries so steady-state searches allocate nothing.
@@ -266,6 +216,41 @@ impl QueryResult {
     #[doc(hidden)]
     pub fn push_for_test(&mut self, e: ResultEntry) {
         self.push(e);
+    }
+}
+
+/// The unsharded emission of the Fig. 3 walk: every entry, in DFS order.
+impl Emit for QueryResult {
+    type Pos = ();
+    const ROOT: () = ();
+
+    #[inline]
+    fn child(_: (), _: usize, _: usize) {}
+
+    #[inline]
+    fn push(&mut self, _: (), e: ResultEntry) {
+        self.entries.push(e);
+    }
+
+    fn record_degrade(&mut self, _: (), e: DegradeEvent) {
+        self.degrade.events.push(e);
+    }
+
+    fn mark(&self) -> (usize, usize) {
+        (self.entries.len(), self.degrade.events.len())
+    }
+
+    fn rollback(&mut self, mark: (usize, usize)) {
+        self.entries.truncate(mark.0);
+        self.degrade.events.truncate(mark.1);
+    }
+
+    fn clear(&mut self) {
+        QueryResult::clear(self);
+    }
+
+    fn degrades(&self, cause: DegradeCause) -> u64 {
+        self.degrade.count(cause)
     }
 }
 
@@ -394,302 +379,14 @@ pub fn search_budgeted(
     skip: Option<&DeltaSearch>,
     budget: QueryBudget,
 ) -> Result<(QueryResult, SearchStats)> {
-    assert!(eta >= 0.0, "eta must be non-negative");
-    let node_io0 = tree.node_io();
-    let internal_io0 = tree.internal_io();
-    let model_io0 = objects.disk.stats();
-    vstore.reset_stats();
-    let bclock = BudgetClock::start(
-        budget,
-        node_io0.elapsed_us + internal_io0.elapsed_us + model_io0.elapsed_us,
-    );
-
     let mut out = QueryResult::default();
-    let mut stats = SearchStats::default();
-    let attempt = (|| {
-        vstore.enter_cell(cell)?;
-        let _traversal = hdov_obs::span(Phase::Traversal);
-        recurse(
-            tree,
-            vstore,
-            objects,
-            tree.root_ordinal(),
-            eta,
-            skip,
-            &bclock,
-            &mut out,
-            &mut stats,
-        )
-    })();
-    if let Err(e) = attempt {
-        // Even the root's own reads failed (or the segment flip did): the
-        // last resort of graceful degradation serves the whole scene as the
-        // root's internal LoD. Only an unreadable root LoD fails the query.
-        out.clear();
-        let count = tree.object_count();
-        degrade_to_internal(
-            tree,
-            tree.root_ordinal(),
-            0.0,
-            count,
-            DegradeCause::ReadError,
-            &e.to_string(),
-            skip,
-            &mut out,
-        )?;
-    }
-
-    stats.node_io = tree.node_io().since(&node_io0);
-    stats.internal_io = tree.internal_io().since(&internal_io0);
-    stats.model_io = objects.disk.stats().since(&model_io0);
-    stats.vstore_io = vstore.stats();
-    record_query_obs(&stats, &out.degrade);
+    let mut src = SeqSource {
+        tree,
+        vstore,
+        objects,
+    };
+    let stats = walk::run(&mut src, &mut out, cell, eta, skip, budget)?;
     Ok((out, stats))
-}
-
-/// Serves node `ordinal`'s finest internal LoD in place of its untraversed
-/// subtree and records the degrade `cause` (graceful degradation, DESIGN.md
-/// §11; budget stops, §12). Propagates the fetch error when even the
-/// internal LoD cannot be read — the caller's ancestor then degrades in
-/// turn, so the answer falls back to the *deepest readable ancestor*.
-#[allow(clippy::too_many_arguments)]
-fn degrade_to_internal(
-    tree: &mut HdovTree,
-    ordinal: u32,
-    dov: f32,
-    objects_coarse: u64,
-    cause: DegradeCause,
-    detail: &str,
-    skip: Option<&DeltaSearch>,
-    out: &mut QueryResult,
-) -> Result<()> {
-    let level = select_level(tree.internal_store(), ordinal as u64, 1.0);
-    let key = ResultKey::Internal(ordinal);
-    let cached = skip.is_some_and(|s| s.is_resident(key, level));
-    let h = if cached {
-        tree.internal_store().handle(ordinal as u64, level)
-    } else {
-        let _lf = hdov_obs::span(Phase::LodFetch);
-        tree.fetch_internal_lod(ordinal, level)?
-    };
-    out.push(ResultEntry {
-        key,
-        level,
-        polygons: h.polygons as u64,
-        bytes: h.bytes as u64,
-        dov,
-        cached,
-    });
-    out.record_degrade(ordinal, objects_coarse, cause, detail);
-    Ok(())
-}
-
-/// Reports one finished query to `hdov-obs`: event counters plus the
-/// *simulated* latency histogram (deterministic — safe for the CI gate).
-/// A no-op when recording is disabled.
-pub(crate) fn record_query_obs(stats: &SearchStats, degrade: &DegradeReport) {
-    if !hdov_obs::is_enabled() {
-        return;
-    }
-    hdov_obs::add(Counter::Queries, 1);
-    hdov_obs::add(Counter::NodesVisited, stats.nodes_visited);
-    hdov_obs::add(Counter::VPagesFetched, stats.vpages_fetched);
-    hdov_obs::observe(Hist::SimSearchUs, (stats.search_time_ms() * 1000.0) as u64);
-    if degrade.errors_absorbed() > 0 {
-        hdov_obs::add(Counter::DegradedQueries, 1);
-        hdov_obs::add(Counter::LodFallbacks, degrade.lod_fallbacks());
-    }
-    let stops = degrade.budget_stops();
-    if stops > 0 {
-        hdov_obs::add(Counter::BudgetStops, stops);
-    }
-}
-
-/// Cumulative simulated I/O charge across every meter a sequential query
-/// touches, for budget accounting ([`BudgetClock::exhausted`] subtracts the
-/// query-start baseline). Pure accessor reads: calling this has no effect on
-/// any simulated cost.
-fn io_elapsed_us(tree: &HdovTree, vstore: &dyn VisibilityStore, objects: &ObjectModels) -> f64 {
-    tree.node_io().elapsed_us
-        + tree.internal_io().elapsed_us
-        + objects.disk.stats().elapsed_us
-        + vstore.stats().elapsed_us
-}
-
-#[allow(clippy::too_many_arguments)]
-fn recurse(
-    tree: &mut HdovTree,
-    vstore: &mut dyn VisibilityStore,
-    objects: &mut ObjectModels,
-    ordinal: u32,
-    eta: f64,
-    skip: Option<&DeltaSearch>,
-    bclock: &BudgetClock,
-    out: &mut QueryResult,
-    stats: &mut SearchStats,
-) -> Result<()> {
-    let Some(vpage) = ({
-        let _vp = hdov_obs::span(Phase::VPageRead);
-        vstore.fetch(ordinal)?
-    }) else {
-        return Ok(()); // invisible (vertical/indexed prove it for free)
-    };
-    stats.vpages_fetched += 1;
-    if !vpage.any_visible() {
-        return Ok(()); // horizontal placeholder for a hidden node
-    }
-    let node = {
-        let _nr = hdov_obs::span(Phase::NodeRead);
-        tree.read_node(ordinal)?
-    };
-    stats.nodes_visited += 1;
-
-    for (entry, ve) in node.entries.iter().zip(&vpage.entries) {
-        if ve.dov <= 0.0 {
-            continue; // line 3: completely hidden branch
-        }
-        if entry.is_object() {
-            // Lines 4–5: leaf entry, Eq. 6.
-            let k = (ve.dov as f64 / MAX_DOV).min(1.0);
-            let level = select_level(&objects.store, entry.child, k);
-            let key = ResultKey::Object(entry.child);
-            let cached = skip.is_some_and(|s| s.is_resident(key, level));
-            let h = if cached {
-                objects.store.handle(entry.child, level)
-            } else {
-                let _lf = hdov_obs::span(Phase::LodFetch);
-                objects.store.fetch(&mut objects.disk, entry.child, level)?
-            };
-            out.entries.push(ResultEntry {
-                key,
-                level,
-                polygons: h.polygons as u64,
-                bytes: h.bytes as u64,
-                dov: ve.dov,
-                cached,
-            });
-        } else if (ve.dov as f64) <= eta && terminates_entry(tree, entry, ve) {
-            // Lines 7–8: barely visible subtree, Eq. 5.
-            let k = if eta > 0.0 {
-                (ve.dov as f64 / eta).clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
-            let child = entry.child_ordinal;
-            let level = select_level(tree.internal_store(), child as u64, k);
-            let key = ResultKey::Internal(child);
-            let cached = skip.is_some_and(|s| s.is_resident(key, level));
-            let h = if cached {
-                tree.internal_store().handle(child as u64, level)
-            } else {
-                let _lf = hdov_obs::span(Phase::LodFetch);
-                tree.fetch_internal_lod(child, level)?
-            };
-            out.entries.push(ResultEntry {
-                key,
-                level,
-                polygons: h.polygons as u64,
-                bytes: h.bytes as u64,
-                dov: ve.dov,
-                cached,
-            });
-        } else {
-            // Budget check, charged nothing itself: once the query's spend
-            // reaches its cap, every remaining subtree is served as its
-            // internal LoD instead of being descended (DESIGN.md §12). The
-            // unlimited path is one branch — no meter reads, no clock.
-            if bclock.is_limited()
-                && bclock.exhausted(
-                    io_elapsed_us(tree, vstore, objects),
-                    stats.nodes_visited,
-                    stats.vpages_fetched,
-                )
-            {
-                degrade_to_internal(
-                    tree,
-                    entry.child_ordinal,
-                    ve.dov,
-                    ve.nvo as u64,
-                    DegradeCause::BudgetExhausted,
-                    BUDGET_EXHAUSTED_DETAIL,
-                    skip,
-                    out,
-                )?;
-                continue;
-            }
-            // Line 10: descend — absorbing read failures beneath this entry
-            // by dropping the subtree's partial answer and serving the
-            // child's internal LoD instead.
-            let mark = out.mark();
-            let descent = recurse(
-                tree,
-                vstore,
-                objects,
-                entry.child_ordinal,
-                eta,
-                skip,
-                bclock,
-                out,
-                stats,
-            );
-            if let Err(e) = descent {
-                out.rollback(mark);
-                degrade_to_internal(
-                    tree,
-                    entry.child_ordinal,
-                    ve.dov,
-                    ve.nvo as u64,
-                    DegradeCause::ReadError,
-                    &e.to_string(),
-                    skip,
-                    out,
-                )?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The second condition of Fig. 3 line 7, per the configured heuristic.
-/// (Shared with the prioritized traversal in [`crate::priority`].)
-pub(crate) fn terminates_entry(tree: &HdovTree, entry: &HdovEntry, ve: &VEntry) -> bool {
-    terminates_with(
-        tree.heuristic(),
-        tree.fanout(),
-        tree.internal_store(),
-        entry,
-        ve,
-    )
-}
-
-/// [`terminates_entry`] decomposed to its actual inputs, so the shared
-/// (concurrent) traversal can evaluate it without an `HdovTree`.
-pub(crate) fn terminates_with(
-    heuristic: TerminationHeuristic,
-    fanout: usize,
-    internal_store: &ModelStore,
-    entry: &HdovEntry,
-    ve: &VEntry,
-) -> bool {
-    match heuristic {
-        TerminationHeuristic::Always => true,
-        TerminationHeuristic::Eq4 => {
-            // h (1 + log_M s) < log_M NVO, with h = subtree height above the
-            // leaf level and M the fan-out.
-            let m = fanout as f64;
-            let log_m = |x: f64| x.ln() / m.ln();
-            let h = entry.child_height.saturating_sub(1) as f64;
-            let s = (entry.child_s as f64).max(1e-9);
-            h * (1.0 + log_m(s)) < log_m(ve.nvo.max(1) as f64)
-        }
-        TerminationHeuristic::Exact => {
-            // Eq. 3: internal LoD polygons < visible descendant polygons.
-            let internal = internal_store
-                .handle(entry.child_ordinal as u64, 0)
-                .polygons as f64;
-            internal < ve.nvo as f64 * entry.child_f as f64
-        }
-    }
 }
 
 /// The naïve (cell, list-of-objects) baseline of §5.3: "accesses the V-pages

@@ -30,15 +30,13 @@
 //! carry a coarse duplicate next to another shard's fine entries — coverage
 //! is chosen over minimality, exactly like the budget-stop path.
 
-use crate::budget::{BudgetClock, QueryBudget};
+use crate::budget::QueryBudget;
 use crate::delta::{DeltaSearch, KeyMap};
 use crate::search::{
-    select_level, terminates_with, DegradeCause, DegradeEvent, QueryResult, ResultEntry, ResultKey,
-    SearchStats, BUDGET_EXHAUSTED_DETAIL,
+    select_level, DegradeCause, DegradeEvent, QueryResult, ResultEntry, ResultKey, SearchStats,
 };
 use crate::shared::{SessionCtx, SharedEnvironment};
-use hdov_geom::solid_angle::MAX_DOV;
-use hdov_obs::{Counter, Hist, Phase};
+use crate::walk::{self, Emit, SharedSource};
 use hdov_storage::Result;
 use hdov_visibility::CellId;
 use std::collections::HashMap;
@@ -129,9 +127,13 @@ impl ShardFrame {
 
     /// Read errors this sub-query absorbed via LoD fallbacks.
     pub fn errors_absorbed(&self) -> u64 {
+        self.count(DegradeCause::ReadError)
+    }
+
+    fn count(&self, cause: DegradeCause) -> u64 {
         self.degrades
             .iter()
-            .filter(|(_, e)| e.cause == DegradeCause::ReadError)
+            .filter(|(_, e)| e.cause == cause)
             .count() as u64
     }
 
@@ -140,15 +142,6 @@ impl ShardFrame {
     #[doc(hidden)]
     pub fn push_for_test(&mut self, key: PathKey, e: ResultEntry) {
         self.entries.push((key, e));
-    }
-
-    fn mark(&self) -> (usize, usize) {
-        (self.entries.len(), self.degrades.len())
-    }
-
-    fn rollback(&mut self, mark: (usize, usize)) {
-        self.entries.truncate(mark.0);
-        self.degrades.truncate(mark.1);
     }
 }
 
@@ -432,21 +425,67 @@ impl ShardPlan {
     }
 }
 
-/// Cumulative simulated I/O charge across a session's five cursors (pure
-/// accessor reads — identical to the shared path's budget accounting).
-fn io_elapsed_us(ctx: &SessionCtx) -> f64 {
-    ctx.node_cur.stats().elapsed_us
-        + ctx.internal_cur.stats().elapsed_us
-        + ctx.model_cur.stats().elapsed_us
-        + ctx.index_cur.stats().elapsed_us
-        + ctx.vpage_cur.stats().elapsed_us
+/// One shard's emission: owned entries only, keyed by tree position, into
+/// its frame.
+struct ShardEmit<'a> {
+    plan: &'a ShardPlan,
+    shard: usize,
+    frame: &'a mut ShardFrame,
+}
+
+impl Emit for ShardEmit<'_> {
+    type Pos = PathKey;
+    const ROOT: PathKey = PathKey::ROOT;
+
+    #[inline]
+    fn child(pos: PathKey, depth: usize, index: usize) -> PathKey {
+        pos.child(depth, index)
+    }
+    /// The owner is the only shard that fetches (or skips, when resident)
+    /// an object's model.
+    #[inline]
+    fn owns_object(&self, id: u64) -> bool {
+        self.plan.object_owner.get(&id) == Some(&self.shard)
+    }
+    #[inline]
+    fn owns_subtree(&self, ordinal: u32) -> bool {
+        self.plan.node_owner[ordinal as usize] as usize == self.shard
+    }
+    #[inline]
+    fn reaches(&self, ordinal: u32) -> bool {
+        self.plan.node_mask[ordinal as usize] & (1u64 << self.shard) != 0
+    }
+    #[inline]
+    fn push(&mut self, pos: PathKey, e: ResultEntry) {
+        self.frame.entries.push((pos, e));
+    }
+    fn record_degrade(&mut self, pos: PathKey, e: DegradeEvent) {
+        self.frame.degrades.push((pos, e));
+    }
+    fn mark(&self) -> (usize, usize) {
+        (self.frame.entries.len(), self.frame.degrades.len())
+    }
+    fn rollback(&mut self, mark: (usize, usize)) {
+        self.frame.entries.truncate(mark.0);
+        self.frame.degrades.truncate(mark.1);
+    }
+    fn clear(&mut self) {
+        self.frame.clear();
+    }
+    fn root_objects(&self, _total: u64) -> u64 {
+        self.plan.owned_objects[self.shard]
+    }
+    fn degrades(&self, cause: DegradeCause) -> u64 {
+        self.frame.count(cause)
+    }
 }
 
 /// The pruned sharded traversal: shard `shard`'s contribution to one frame.
 ///
-/// Decision-for-decision the same walk as
+/// The same Fig. 3 walk as
 /// [`search_shared_into_budgeted`](crate::shared::search_shared_into_budgeted)
-/// — same prune/terminate/descend tests against the same V-pages — except:
+/// — same prune/terminate/descend tests against the same V-pages — with a
+/// shard's emission rule:
 ///
 /// * subtrees whose [`ShardPlan::node_mask`] lacks this shard's bit are
 ///   skipped without reading them,
@@ -474,328 +513,12 @@ pub fn search_shard_into_budgeted(
     prefetch: bool,
     budget: QueryBudget,
 ) -> Result<SearchStats> {
-    assert!(eta >= 0.0, "eta must be non-negative");
     assert!(shard < plan.shards, "shard {shard} out of range");
-    let node0 = ctx.node_cur.stats();
-    let internal0 = ctx.internal_cur.stats();
-    let model0 = ctx.model_cur.stats();
-    let index0 = ctx.index_cur.stats();
-    let vpage0 = ctx.vpage_cur.stats();
-    let bclock = BudgetClock::start(
-        budget,
-        node0.elapsed_us
-            + internal0.elapsed_us
-            + model0.elapsed_us
-            + index0.elapsed_us
-            + vpage0.elapsed_us,
-    );
-
-    frame.clear();
-    let mut stats = SearchStats::default();
-    let attempt = (|| {
-        env.vstore().enter_cell(ctx, cell)?;
-        if prefetch {
-            env.vstore().prefetch_cell(ctx)?;
-        }
-        let _traversal = hdov_obs::span(Phase::Traversal);
-        recurse_shard(
-            env,
-            ctx,
-            plan,
-            shard,
-            env.tree().root_ordinal(),
-            PathKey::ROOT,
-            0,
-            eta,
-            skip,
-            &bclock,
-            frame,
-            &mut stats,
-        )
-    })();
-    if let Err(e) = attempt {
-        // Even the root's own reads failed: last-resort degradation serves
-        // this shard's whole contribution as the root's internal LoD. Only
-        // an unreadable root LoD fails the sub-query.
-        frame.clear();
-        let root = env.tree().root_ordinal();
-        let level = select_level(env.tree().internal_store(), root as u64, 1.0);
-        let key = ResultKey::Internal(root);
-        let cached = skip.is_some_and(|s| s.is_resident(key, level));
-        let h = if cached {
-            env.tree().internal_store().handle(root as u64, level)
-        } else {
-            let _lf = hdov_obs::span(Phase::LodFetch);
-            env.tree()
-                .fetch_internal_lod(&mut ctx.internal_cur, root, level)?
-        };
-        frame.entries.push((
-            PathKey::ROOT,
-            ResultEntry {
-                key,
-                level,
-                polygons: h.polygons as u64,
-                bytes: h.bytes as u64,
-                dov: 0.0,
-                cached,
-            },
-        ));
-        frame.degrades.push((
-            PathKey::ROOT,
-            DegradeEvent {
-                ordinal: root,
-                objects_coarse: plan.owned_objects[shard],
-                cause: DegradeCause::ReadError,
-                error: e.to_string(),
-            },
-        ));
-    }
-
-    stats.node_io = ctx.node_cur.stats().since(&node0);
-    stats.internal_io = ctx.internal_cur.stats().since(&internal0);
-    stats.model_io = ctx.model_cur.stats().since(&model0);
-    stats.vstore_io = ctx.index_cur.stats().since(&index0) + ctx.vpage_cur.stats().since(&vpage0);
+    let mut src = SharedSource { env, ctx, prefetch };
+    let mut emit = ShardEmit { plan, shard, frame };
+    let stats = walk::run(&mut src, &mut emit, cell, eta, skip, budget)?;
     frame.stats = stats;
-    record_shard_query_obs(&stats, frame);
     Ok(stats)
-}
-
-/// Reports one finished shard sub-query to `hdov-obs` (the sharded
-/// counterpart of the search module's per-query recording: each sub-query
-/// counts as one query).
-fn record_shard_query_obs(stats: &SearchStats, frame: &ShardFrame) {
-    if !hdov_obs::is_enabled() {
-        return;
-    }
-    hdov_obs::add(Counter::Queries, 1);
-    hdov_obs::add(Counter::NodesVisited, stats.nodes_visited);
-    hdov_obs::add(Counter::VPagesFetched, stats.vpages_fetched);
-    hdov_obs::observe(Hist::SimSearchUs, (stats.search_time_ms() * 1000.0) as u64);
-    let errors = frame.errors_absorbed();
-    if errors > 0 {
-        hdov_obs::add(Counter::DegradedQueries, 1);
-        hdov_obs::add(Counter::LodFallbacks, errors);
-    }
-    let stops = frame
-        .degrades
-        .iter()
-        .filter(|(_, e)| e.cause == DegradeCause::BudgetExhausted)
-        .count() as u64;
-    if stops > 0 {
-        hdov_obs::add(Counter::BudgetStops, stops);
-    }
-}
-
-/// Serves `ordinal`'s internal LoD in place of its untraversed subtree at
-/// position `key` (the sharded counterpart of `degrade_to_internal_shared`).
-#[allow(clippy::too_many_arguments)]
-fn degrade_to_internal_shard(
-    env: &SharedEnvironment,
-    ctx: &mut SessionCtx,
-    ordinal: u32,
-    key: PathKey,
-    dov: f32,
-    objects_coarse: u64,
-    cause: DegradeCause,
-    detail: &str,
-    skip: Option<&DeltaSearch>,
-    frame: &mut ShardFrame,
-) -> Result<()> {
-    let level = select_level(env.tree().internal_store(), ordinal as u64, 1.0);
-    let rk = ResultKey::Internal(ordinal);
-    let cached = skip.is_some_and(|s| s.is_resident(rk, level));
-    let h = if cached {
-        env.tree().internal_store().handle(ordinal as u64, level)
-    } else {
-        let _lf = hdov_obs::span(Phase::LodFetch);
-        env.tree()
-            .fetch_internal_lod(&mut ctx.internal_cur, ordinal, level)?
-    };
-    frame.entries.push((
-        key,
-        ResultEntry {
-            key: rk,
-            level,
-            polygons: h.polygons as u64,
-            bytes: h.bytes as u64,
-            dov,
-            cached,
-        },
-    ));
-    frame.degrades.push((
-        key,
-        DegradeEvent {
-            ordinal,
-            objects_coarse,
-            cause,
-            error: detail.to_string(),
-        },
-    ));
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn recurse_shard(
-    env: &SharedEnvironment,
-    ctx: &mut SessionCtx,
-    plan: &ShardPlan,
-    shard: usize,
-    ordinal: u32,
-    path: PathKey,
-    depth: usize,
-    eta: f64,
-    skip: Option<&DeltaSearch>,
-    bclock: &BudgetClock,
-    frame: &mut ShardFrame,
-    stats: &mut SearchStats,
-) -> Result<()> {
-    let bit = 1u64 << shard;
-    let Some(vpage) = ({
-        let _vp = hdov_obs::span(Phase::VPageRead);
-        env.vstore().fetch(ctx, ordinal)?
-    }) else {
-        return Ok(()); // invisible (vertical/indexed prove it for free)
-    };
-    stats.vpages_fetched += 1;
-    if !vpage.any_visible() {
-        return Ok(()); // horizontal placeholder for a hidden node
-    }
-    let node = {
-        let _nr = hdov_obs::span(Phase::NodeRead);
-        env.tree().read_node(&mut ctx.node_cur, ordinal)?
-    };
-    stats.nodes_visited += 1;
-
-    for (i, (entry, ve)) in node.entries.iter().zip(&vpage.entries).enumerate() {
-        if ve.dov <= 0.0 {
-            continue; // completely hidden branch
-        }
-        let key = path.child(depth, i);
-        if entry.is_object() {
-            // Emit only owned objects; the owner is the only shard that
-            // fetches (or skips, when resident) this model.
-            if plan.object_owner.get(&entry.child) != Some(&shard) {
-                continue;
-            }
-            let k = (ve.dov as f64 / MAX_DOV).min(1.0);
-            let level = select_level(env.models().store(), entry.child, k);
-            let rk = ResultKey::Object(entry.child);
-            let cached = skip.is_some_and(|s| s.is_resident(rk, level));
-            let h = if cached {
-                env.models().store().handle(entry.child, level)
-            } else {
-                let _lf = hdov_obs::span(Phase::LodFetch);
-                env.models().fetch(&mut ctx.model_cur, entry.child, level)?
-            };
-            frame.entries.push((
-                key,
-                ResultEntry {
-                    key: rk,
-                    level,
-                    polygons: h.polygons as u64,
-                    bytes: h.bytes as u64,
-                    dov: ve.dov,
-                    cached,
-                },
-            ));
-        } else if (ve.dov as f64) <= eta
-            && terminates_with(
-                env.tree().heuristic(),
-                env.tree().fanout(),
-                env.tree().internal_store(),
-                entry,
-                ve,
-            )
-        {
-            // η-terminated subtree: emitted by its owner only.
-            if plan.node_owner[entry.child_ordinal as usize] as usize != shard {
-                continue;
-            }
-            let k = if eta > 0.0 {
-                (ve.dov as f64 / eta).clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
-            let child = entry.child_ordinal;
-            let level = select_level(env.tree().internal_store(), child as u64, k);
-            let rk = ResultKey::Internal(child);
-            let cached = skip.is_some_and(|s| s.is_resident(rk, level));
-            let h = if cached {
-                env.tree().internal_store().handle(child as u64, level)
-            } else {
-                let _lf = hdov_obs::span(Phase::LodFetch);
-                env.tree()
-                    .fetch_internal_lod(&mut ctx.internal_cur, child, level)?
-            };
-            frame.entries.push((
-                key,
-                ResultEntry {
-                    key: rk,
-                    level,
-                    polygons: h.polygons as u64,
-                    bytes: h.bytes as u64,
-                    dov: ve.dov,
-                    cached,
-                },
-            ));
-        } else {
-            // Descend — but only into subtrees holding something we own.
-            if plan.node_mask[entry.child_ordinal as usize] & bit == 0 {
-                continue;
-            }
-            if bclock.is_limited()
-                && bclock.exhausted(
-                    io_elapsed_us(ctx),
-                    stats.nodes_visited,
-                    stats.vpages_fetched,
-                )
-            {
-                degrade_to_internal_shard(
-                    env,
-                    ctx,
-                    entry.child_ordinal,
-                    key,
-                    ve.dov,
-                    ve.nvo as u64,
-                    DegradeCause::BudgetExhausted,
-                    BUDGET_EXHAUSTED_DETAIL,
-                    skip,
-                    frame,
-                )?;
-                continue;
-            }
-            let mark = frame.mark();
-            if let Err(e) = recurse_shard(
-                env,
-                ctx,
-                plan,
-                shard,
-                entry.child_ordinal,
-                key,
-                depth + 1,
-                eta,
-                skip,
-                bclock,
-                frame,
-                stats,
-            ) {
-                frame.rollback(mark);
-                degrade_to_internal_shard(
-                    env,
-                    ctx,
-                    entry.child_ordinal,
-                    key,
-                    ve.dov,
-                    ve.nvo as u64,
-                    DegradeCause::ReadError,
-                    &e.to_string(),
-                    skip,
-                    frame,
-                )?;
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Merges per-shard frames into one [`QueryResult`], draining the frames.
@@ -820,7 +543,7 @@ pub fn merge_frames(frames: &mut [ShardFrame], out: &mut QueryResult) {
         out.push(e);
     }
     for (_, d) in degs {
-        out.record_degrade(d.ordinal, d.objects_coarse, d.cause, &d.error);
+        out.record_degrade((), d);
     }
 }
 

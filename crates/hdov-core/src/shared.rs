@@ -22,20 +22,18 @@
 //! * **Pool sharing** — V-pages, nodes, and models warmed by one session are
 //!   hits for every other session in the same cell neighbourhood.
 //!
-//! The traversal itself ([`search_shared`]) mirrors
-//! [`search`](crate::search::search) decision-for-decision, so a
-//! single-session run returns bit-identical result entries.
+//! The traversal itself ([`search_shared`]) is the same Fig. 3 walk as
+//! [`search`](crate::search::search), run over a session's cursors instead
+//! of the sequential engine, so a single-session run returns bit-identical
+//! result entries.
 
-use crate::budget::{BudgetClock, QueryBudget};
+use crate::budget::QueryBudget;
 use crate::build::{HdovTree, TerminationHeuristic};
 use crate::delta::{DeltaSearch, DeltaSummary};
-use crate::search::{
-    select_level, terminates_with, DegradeCause, ObjectModels, QueryResult, ResultEntry, ResultKey,
-    SearchStats, BUDGET_EXHAUSTED_DETAIL,
-};
+use crate::search::{ObjectModels, QueryResult, SearchStats};
 use crate::storage::{StorageScheme, VisibilityStore};
 use crate::vpage::VPage;
-use hdov_geom::solid_angle::MAX_DOV;
+use crate::walk::{self, SharedSource};
 use hdov_geom::Vec3;
 use hdov_obs::Phase;
 use hdov_scene::{ModelHandle, ModelStore};
@@ -612,11 +610,7 @@ impl SharedTree {
         level: usize,
     ) -> Result<ModelHandle> {
         let h = self.internal_store.handle(ordinal as u64, level);
-        for i in 0..h.pages as u64 {
-            self.internal_pool
-                .read_frame(cursor, PageId(h.first_page.0 + i))?;
-        }
-        Ok(h)
+        read_model_pages(&self.internal_pool, cursor, h)
     }
 
     fn fork(&self) -> Self {
@@ -657,12 +651,21 @@ impl SharedModels {
     /// charged to `cursor`, but pool hits hand back pooled frames instead
     /// of copying into a scratch page, and the loop allocates nothing.
     pub fn fetch(&self, cursor: &mut IoCursor, key: u64, level: usize) -> Result<ModelHandle> {
-        let h = self.store.handle(key, level);
-        for i in 0..h.pages as u64 {
-            self.pool.read_frame(cursor, PageId(h.first_page.0 + i))?;
-        }
-        Ok(h)
+        read_model_pages(&self.pool, cursor, self.store.handle(key, level))
     }
+}
+
+/// Charges `h`'s pages in order through `pool` — the page sequence of
+/// [`ModelStore::fetch`], without copying frames or allocating.
+fn read_model_pages(
+    pool: &SharedCachedFile,
+    cursor: &mut IoCursor,
+    h: ModelHandle,
+) -> Result<ModelHandle> {
+    for i in 0..h.pages as u64 {
+        pool.read_frame(cursor, PageId(h.first_page.0 + i))?;
+    }
+    Ok(h)
 }
 
 /// A complete frozen deployment: one immutable HDoV-tree that any number of
@@ -1067,16 +1070,6 @@ pub fn search_shared_into(
     )
 }
 
-/// Cumulative simulated I/O charge across a session's five cursors, for
-/// budget accounting. Pure accessor reads — charges nothing.
-fn io_elapsed_us_shared(ctx: &SessionCtx) -> f64 {
-    ctx.node_cur.stats().elapsed_us
-        + ctx.internal_cur.stats().elapsed_us
-        + ctx.model_cur.stats().elapsed_us
-        + ctx.index_cur.stats().elapsed_us
-        + ctx.vpage_cur.stats().elapsed_us
-}
-
 /// [`search_shared_into`] under a [`QueryBudget`] (see
 /// [`search_shared_budgeted`]). The budget covers everything charged to the
 /// session's cursors from the call on — including the segment flip and the
@@ -1093,235 +1086,6 @@ pub fn search_shared_into_budgeted(
     prefetch: bool,
     budget: QueryBudget,
 ) -> Result<SearchStats> {
-    assert!(eta >= 0.0, "eta must be non-negative");
-    let node0 = ctx.node_cur.stats();
-    let internal0 = ctx.internal_cur.stats();
-    let model0 = ctx.model_cur.stats();
-    let index0 = ctx.index_cur.stats();
-    let vpage0 = ctx.vpage_cur.stats();
-    let bclock = BudgetClock::start(
-        budget,
-        node0.elapsed_us
-            + internal0.elapsed_us
-            + model0.elapsed_us
-            + index0.elapsed_us
-            + vpage0.elapsed_us,
-    );
-
-    scratch.result.clear();
-    let mut stats = SearchStats::default();
-    let attempt = (|| {
-        env.vstore.enter_cell(ctx, cell)?;
-        if prefetch {
-            env.vstore.prefetch_cell(ctx)?;
-        }
-        let _traversal = hdov_obs::span(Phase::Traversal);
-        recurse_shared(
-            env,
-            ctx,
-            env.tree.root_ordinal(),
-            eta,
-            skip,
-            &bclock,
-            &mut scratch.result,
-            &mut stats,
-        )
-    })();
-    if let Err(e) = attempt {
-        // Even the root's own reads failed (or the segment flip did): the
-        // last resort of graceful degradation serves the whole scene as the
-        // root's internal LoD. Only an unreadable root LoD fails the query.
-        scratch.result.clear();
-        degrade_to_internal_shared(
-            env,
-            ctx,
-            env.tree.root_ordinal(),
-            0.0,
-            env.tree.object_count(),
-            DegradeCause::ReadError,
-            &e.to_string(),
-            skip,
-            &mut scratch.result,
-        )?;
-    }
-
-    stats.node_io = ctx.node_cur.stats().since(&node0);
-    stats.internal_io = ctx.internal_cur.stats().since(&internal0);
-    stats.model_io = ctx.model_cur.stats().since(&model0);
-    stats.vstore_io = ctx.index_cur.stats().since(&index0) + ctx.vpage_cur.stats().since(&vpage0);
-    crate::search::record_query_obs(&stats, scratch.result.degrade());
-    Ok(stats)
-}
-
-/// The shared-path counterpart of `search::degrade_to_internal`: serves
-/// node `ordinal`'s finest internal LoD in place of its unreadable subtree,
-/// records the absorbed `cause`, and propagates the fetch error when even
-/// the internal LoD cannot be read (the deepest *readable* ancestor wins).
-#[allow(clippy::too_many_arguments)]
-fn degrade_to_internal_shared(
-    env: &SharedEnvironment,
-    ctx: &mut SessionCtx,
-    ordinal: u32,
-    dov: f32,
-    objects_coarse: u64,
-    cause: DegradeCause,
-    detail: &str,
-    skip: Option<&DeltaSearch>,
-    out: &mut QueryResult,
-) -> Result<()> {
-    let level = select_level(env.tree.internal_store(), ordinal as u64, 1.0);
-    let key = ResultKey::Internal(ordinal);
-    let cached = skip.is_some_and(|s| s.is_resident(key, level));
-    let h = if cached {
-        env.tree.internal_store().handle(ordinal as u64, level)
-    } else {
-        let _lf = hdov_obs::span(Phase::LodFetch);
-        env.tree
-            .fetch_internal_lod(&mut ctx.internal_cur, ordinal, level)?
-    };
-    out.push(ResultEntry {
-        key,
-        level,
-        polygons: h.polygons as u64,
-        bytes: h.bytes as u64,
-        dov,
-        cached,
-    });
-    out.record_degrade(ordinal, objects_coarse, cause, detail);
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn recurse_shared(
-    env: &SharedEnvironment,
-    ctx: &mut SessionCtx,
-    ordinal: u32,
-    eta: f64,
-    skip: Option<&DeltaSearch>,
-    bclock: &BudgetClock,
-    out: &mut QueryResult,
-    stats: &mut SearchStats,
-) -> Result<()> {
-    let Some(vpage) = ({
-        let _vp = hdov_obs::span(Phase::VPageRead);
-        env.vstore.fetch(ctx, ordinal)?
-    }) else {
-        return Ok(()); // invisible (vertical/indexed prove it for free)
-    };
-    stats.vpages_fetched += 1;
-    if !vpage.any_visible() {
-        return Ok(()); // horizontal placeholder for a hidden node
-    }
-    let node = {
-        let _nr = hdov_obs::span(Phase::NodeRead);
-        env.tree.read_node(&mut ctx.node_cur, ordinal)?
-    };
-    stats.nodes_visited += 1;
-
-    for (entry, ve) in node.entries.iter().zip(&vpage.entries) {
-        if ve.dov <= 0.0 {
-            continue; // line 3: completely hidden branch
-        }
-        if entry.is_object() {
-            // Lines 4–5: leaf entry, Eq. 6.
-            let k = (ve.dov as f64 / MAX_DOV).min(1.0);
-            let level = select_level(&env.models.store, entry.child, k);
-            let key = ResultKey::Object(entry.child);
-            let cached = skip.is_some_and(|s| s.is_resident(key, level));
-            let h = if cached {
-                env.models.store.handle(entry.child, level)
-            } else {
-                let _lf = hdov_obs::span(Phase::LodFetch);
-                env.models.fetch(&mut ctx.model_cur, entry.child, level)?
-            };
-            out.push(ResultEntry {
-                key,
-                level,
-                polygons: h.polygons as u64,
-                bytes: h.bytes as u64,
-                dov: ve.dov,
-                cached,
-            });
-        } else if (ve.dov as f64) <= eta
-            && terminates_with(
-                env.tree.heuristic,
-                env.tree.fanout,
-                &env.tree.internal_store,
-                entry,
-                ve,
-            )
-        {
-            // Lines 7–8: barely visible subtree, Eq. 5.
-            let k = if eta > 0.0 {
-                (ve.dov as f64 / eta).clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
-            let child = entry.child_ordinal;
-            let level = select_level(env.tree.internal_store(), child as u64, k);
-            let key = ResultKey::Internal(child);
-            let cached = skip.is_some_and(|s| s.is_resident(key, level));
-            let h = if cached {
-                env.tree.internal_store().handle(child as u64, level)
-            } else {
-                let _lf = hdov_obs::span(Phase::LodFetch);
-                env.tree
-                    .fetch_internal_lod(&mut ctx.internal_cur, child, level)?
-            };
-            out.push(ResultEntry {
-                key,
-                level,
-                polygons: h.polygons as u64,
-                bytes: h.bytes as u64,
-                dov: ve.dov,
-                cached,
-            });
-        } else {
-            // Budget check, charged nothing itself: once the query's spend
-            // reaches its cap, every remaining subtree is served as its
-            // internal LoD instead of being descended (DESIGN.md §12). The
-            // unlimited path is one branch — no meter reads, no clock.
-            if bclock.is_limited()
-                && bclock.exhausted(
-                    io_elapsed_us_shared(ctx),
-                    stats.nodes_visited,
-                    stats.vpages_fetched,
-                )
-            {
-                degrade_to_internal_shared(
-                    env,
-                    ctx,
-                    entry.child_ordinal,
-                    ve.dov,
-                    ve.nvo as u64,
-                    DegradeCause::BudgetExhausted,
-                    BUDGET_EXHAUSTED_DETAIL,
-                    skip,
-                    out,
-                )?;
-                continue;
-            }
-            // Line 10: descend — absorbing read failures beneath this entry
-            // by dropping the subtree's partial answer and serving the
-            // child's internal LoD instead.
-            let mark = out.mark();
-            if let Err(e) =
-                recurse_shared(env, ctx, entry.child_ordinal, eta, skip, bclock, out, stats)
-            {
-                out.rollback(mark);
-                degrade_to_internal_shared(
-                    env,
-                    ctx,
-                    entry.child_ordinal,
-                    ve.dov,
-                    ve.nvo as u64,
-                    DegradeCause::ReadError,
-                    &e.to_string(),
-                    skip,
-                    out,
-                )?;
-            }
-        }
-    }
-    Ok(())
+    let mut src = SharedSource { env, ctx, prefetch };
+    walk::run(&mut src, &mut scratch.result, cell, eta, skip, budget)
 }

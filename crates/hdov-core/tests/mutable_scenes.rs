@@ -220,3 +220,32 @@ proptest! {
         }
     }
 }
+
+/// The script `PROPTEST_RNG_SEED=1` draws as case 4, kept as a fixed
+/// regression: the batch-2 insert lands about 100 m from cell 2, where its
+/// solid-angle bound is below the estimator's 1/512 resolution, yet one of
+/// the cell's sampled rays hits it. The dirty-cell test must still mark
+/// that cell, or the incremental commit diverges from the rebuild.
+#[test]
+fn insert_below_resolution_bound_still_dirties_hit_cell() {
+    let script = vec![
+        vec![
+            Edit::Translate {
+                idx: 58,
+                dx: -39.92393240067918,
+                dy: 20.04889570207584,
+            },
+            Edit::Remove { idx: 37 },
+        ],
+        vec![Edit::Insert {
+            idx: 63,
+            dx: -14.937439979257341,
+            dy: 36.87663690897713,
+        }],
+    ];
+    for scheme in StorageScheme::all() {
+        if let Err(e) = check_scheme(scheme, &script) {
+            panic!("{scheme:?}: {e:?}");
+        }
+    }
+}

@@ -3,8 +3,8 @@
 //! search.
 
 use hdov_core::{
-    DeltaSearch, HdovBuildConfig, HdovEnvironment, QueryResult, ResultKey, StorageScheme,
-    VPageCodec,
+    search_shared, DeltaSearch, HdovBuildConfig, HdovEnvironment, PoolConfig, QueryResult,
+    ResultKey, SessionCtx, StorageScheme, VPageCodec,
 };
 use hdov_geom::Vec3;
 use hdov_scene::{CityConfig, Scene};
@@ -56,15 +56,42 @@ fn all_three_schemes_agree_on_results() {
 
 #[test]
 fn eta_zero_equals_naive_object_set() {
-    let scene = scene();
-    let mut e = env(&scene, StorageScheme::IndexedVertical);
-    let vp = scene.bounds().center();
-    let (hdov, _) = e.query_with_stats(vp, 0.0).unwrap();
-    let (naive, _) = e.query_naive(vp).unwrap();
     // At η = 0 no internal LoD can be used (DoV ≤ 0 is already pruned), so
-    // the HDoV result must be exactly the naïve object set, same levels.
-    assert_eq!(object_set(&hdov), object_set(&naive));
-    assert_eq!(hdov.internal_count(), 0);
+    // both the sequential and the shared search must return exactly the
+    // naïve object set, same levels — from every cell, under every scheme.
+    // The naïve query shares no code with the Fig. 3 walk, so it is a
+    // reference that does not come from the code under test.
+    let scene = scene();
+    for scheme in StorageScheme::all() {
+        let mut e = env(&scene, scheme);
+        let cells = e.grid().cell_count() as CellId;
+        let mut naive = Vec::new();
+        for cell in 0..cells {
+            let vp = e.grid().cell_bounds(cell).center();
+            assert_eq!(e.cell_of(vp), cell);
+            let (expect, _) = e.query_naive(vp).unwrap();
+            let (hdov, _) = e.query_cell(cell, 0.0).unwrap();
+            assert_eq!(
+                object_set(&hdov),
+                object_set(&expect),
+                "{scheme:?} cell {cell}: search"
+            );
+            assert_eq!(hdov.internal_count(), 0);
+            naive.push(object_set(&expect));
+        }
+        assert!(naive.iter().any(|n| !n.is_empty()), "nothing visible");
+
+        let shared = e.into_shared(PoolConfig::default());
+        let mut ctx = SessionCtx::new();
+        for cell in 0..cells {
+            let (r, _) = search_shared(&shared, &mut ctx, cell, 0.0, None, true).unwrap();
+            assert_eq!(
+                object_set(&r),
+                naive[cell as usize],
+                "{scheme:?} cell {cell}: search_shared"
+            );
+        }
+    }
 }
 
 #[test]

@@ -17,11 +17,11 @@ use hdov_scene::CityConfig;
 use hdov_shard::{
     BreakerState, RouterConfig, ShardChaos, ShardRouter, ShardedConfig, ShardedServer,
 };
-use hdov_visibility::CellGridConfig;
+use hdov_visibility::{CellGridConfig, CellId};
 use hdov_walkthrough::{ServerConfig, Session, SessionKind, SessionServer};
 use proptest::prelude::*;
 
-fn shared_env() -> SharedEnvironment {
+fn seq_env() -> HdovEnvironment {
     let scene = CityConfig::tiny().seed(11).generate();
     let grid_cfg = CellGridConfig::for_scene(&scene).with_resolution(4, 4);
     HdovEnvironment::build(
@@ -31,7 +31,10 @@ fn shared_env() -> SharedEnvironment {
         StorageScheme::IndexedVertical,
     )
     .unwrap()
-    .into_shared(PoolConfig::default())
+}
+
+fn shared_env() -> SharedEnvironment {
+    seq_env().into_shared(PoolConfig::default())
 }
 
 fn record_sessions(env: &SharedEnvironment, n: usize, frames: usize) -> Vec<Session> {
@@ -83,6 +86,50 @@ fn seven_shard_frames_are_byte_identical_to_unsharded() {
     // A deliberately lopsided count: the tile grid (3×3 for 7) leaves two
     // tiles empty-handed, exercising uneven ownership.
     assert_frames_identical(7);
+}
+
+fn object_set(r: &QueryResult) -> Vec<(ResultKey, usize)> {
+    let mut v: Vec<_> = r.entries().iter().map(|e| (e.key, e.level)).collect();
+    v.sort();
+    v
+}
+
+/// An oracle that shares no code with the Fig. 3 walk: at η = 0 no
+/// internal LoD can be emitted, so the merged frame of every cell must hold
+/// exactly the naïve (cell, list-of-objects) answer, same levels.
+fn assert_eta_zero_matches_naive(shards: usize) {
+    let mut seq = seq_env();
+    let viewpoints: Vec<_> = (0..seq.grid().cell_count() as CellId)
+        .map(|c| seq.grid().cell_bounds(c).center())
+        .collect();
+    let naive: Vec<_> = viewpoints
+        .iter()
+        .map(|&vp| object_set(&seq.query_naive(vp).unwrap().0))
+        .collect();
+    assert!(naive.iter().any(|n| !n.is_empty()), "nothing visible");
+    let env = seq.into_shared(PoolConfig::default());
+    let router = ShardRouter::new(&env, shards, RouterConfig::default()).unwrap();
+    let mut lane = router.lane();
+    for (cell, &vp) in viewpoints.iter().enumerate() {
+        router.route(&mut lane, vp, 0.0);
+        let got = lane.merged();
+        assert_eq!(
+            object_set(got),
+            naive[cell],
+            "cell {cell} through {shards} shard(s)"
+        );
+        assert_eq!(got.internal_count(), 0);
+    }
+}
+
+#[test]
+fn single_shard_eta_zero_matches_naive_query() {
+    assert_eta_zero_matches_naive(1);
+}
+
+#[test]
+fn four_shard_eta_zero_matches_naive_query() {
+    assert_eta_zero_matches_naive(4);
 }
 
 /// Whole-server equality: the sharded server's per-session answers match

@@ -10,7 +10,7 @@
 use crate::bvh::{Bvh, Hit, TriBvh};
 use crate::cell::{CellGrid, CellId};
 use hdov_geom::sampling;
-use hdov_geom::Ray;
+use hdov_geom::{Aabb, Ray, Vec3};
 use hdov_scene::Scene;
 
 /// What geometry the visibility rays are cast against.
@@ -242,14 +242,17 @@ impl DovTable {
     }
 
     /// Cells whose visibility data can be affected by adding, removing, or
-    /// moving objects (conservative): a cell is affected when any changed
-    /// object was visible from it, or when a changed region's *unoccluded*
-    /// solid-angle bound from the cell reaches the estimator's resolution.
+    /// moving objects: a cell is affected when any changed object was
+    /// visible from it, or when any ray the estimator samples for the cell
+    /// passes through a changed region.
     ///
-    /// Occlusion only shrinks DoV, so cells outside this set can neither see
-    /// a changed object nor have anything revealed/hidden behind one —
-    /// revealed geometry appears only along rays that pass through a changed
-    /// region.
+    /// A ray's first hit can change only if the ray meets the old or new
+    /// geometry of an edited object, and both lie inside the changed
+    /// regions. So the estimate of a cell none of whose sampled rays (cast
+    /// exactly as [`compute`](Self::compute) casts them under `cfg`) enters
+    /// a changed region is unchanged. A solid-angle bound is not enough: a
+    /// region whose bound is below the [`resolution`](Self::resolution)
+    /// can still catch one of the sampled rays.
     ///
     /// * `changed_objects` — ids whose previous visibility forces a
     ///   recompute wherever they appeared,
@@ -257,11 +260,15 @@ impl DovTable {
     pub fn affected_cells(
         &self,
         grid: &CellGrid,
+        cfg: &DovConfig,
         changed_objects: &[u32],
-        changed_regions: &[hdov_geom::Aabb],
+        changed_regions: &[Aabb],
     ) -> Vec<CellId> {
-        use hdov_geom::solid_angle;
-        let resolution = self.resolution();
+        assert_eq!(
+            self.rays_per_viewpoint, cfg.rays_per_viewpoint,
+            "dirty test must cast the table's original ray count"
+        );
+        let regions: Vec<&Aabb> = changed_regions.iter().filter(|r| !r.is_empty()).collect();
         let mut out = Vec::new();
         'cells: for cell in 0..self.cells.len() as CellId {
             for &obj in changed_objects {
@@ -270,17 +277,16 @@ impl DovTable {
                     continue 'cells;
                 }
             }
-            let cb = grid.cell_bounds(cell);
-            for region in changed_regions {
-                if region.is_empty() {
-                    continue;
-                }
-                // Nearest possible viewpoint in the cell to the region.
-                let vp = cb.closest_point(region.center());
-                let bound = solid_angle::aabb_dov_upper_bound(region, vp);
-                if bound >= resolution {
-                    out.push(cell);
-                    continue 'cells;
+            if regions.is_empty() {
+                continue;
+            }
+            for (vp, dirs) in sample_rays(grid, cell, cfg) {
+                for d in &dirs {
+                    let ray = Ray::new(vp, *d);
+                    if regions.iter().any(|r| r.ray_hit(&ray).is_some()) {
+                        out.push(cell);
+                        continue 'cells;
+                    }
                 }
             }
         }
@@ -292,7 +298,7 @@ impl DovTable {
     /// listed keep their existing data.
     ///
     /// Typical flow after a scene edit:
-    /// `let dirty = table.affected_cells(...); table.recompute_cells(&new_scene, &grid, &cfg, &dirty);`
+    /// `let dirty = table.affected_cells(&grid, &cfg, ...); table.recompute_cells(&new_scene, &grid, &cfg, &dirty);`
     pub fn recompute_cells(
         &mut self,
         scene: &Scene,
@@ -384,19 +390,30 @@ impl DovTable {
     }
 }
 
-fn compute_cell(bvh: &Caster, grid: &CellGrid, cell: CellId, cfg: &DovConfig) -> Vec<(u32, f32)> {
+/// The estimator's samples for `cell`: each sample viewpoint with its own
+/// ray directions. Both the estimate ([`compute_cell`]) and the dirty test
+/// ([`DovTable::affected_cells`]) cast exactly these rays.
+fn sample_rays(
+    grid: &CellGrid,
+    cell: CellId,
+    cfg: &DovConfig,
+) -> impl Iterator<Item = (Vec3, Vec<Vec3>)> {
     let viewpoints = grid.sample_viewpoints(cell, cfg.viewpoints_per_cell, cfg.seed);
+    let (rays, seed) = (cfg.rays_per_viewpoint, cfg.seed);
+    viewpoints.into_iter().enumerate().map(move |(vi, vp)| {
+        // A distinct ray set per viewpoint decorrelates the MC error.
+        let dirs = sampling::random_sphere(rays, seed ^ ((cell as u64) << 20) ^ vi as u64);
+        (vp, dirs)
+    })
+}
+
+fn compute_cell(bvh: &Caster, grid: &CellGrid, cell: CellId, cfg: &DovConfig) -> Vec<(u32, f32)> {
     let mut max_dov: std::collections::HashMap<u32, f32> = std::collections::HashMap::new();
     let mut hits: Vec<u32> = Vec::new();
-    for (vi, vp) in viewpoints.iter().enumerate() {
-        // A distinct ray set per viewpoint decorrelates the MC error.
-        let dirs = sampling::random_sphere(
-            cfg.rays_per_viewpoint,
-            cfg.seed ^ ((cell as u64) << 20) ^ vi as u64,
-        );
+    for (vp, dirs) in sample_rays(grid, cell, cfg) {
         hits.clear();
         for d in &dirs {
-            if let Hit::Object { index, .. } = bvh.first_hit(&Ray::new(*vp, *d)) {
+            if let Hit::Object { index, .. } = bvh.first_hit(&Ray::new(vp, *d)) {
                 hits.push(index);
             }
         }
