@@ -39,11 +39,11 @@ use hdov_obs::Phase;
 use hdov_scene::{ModelHandle, ModelStore};
 use hdov_storage::codec::ByteReader;
 use hdov_storage::{
-    FaultPlan, IoCursor, Page, PageId, PagedFile, ReplicaHealth, Result, RetryPolicy, ScrubReport,
-    Scrubber, SharedCachedFile, SharedFaultyFile, StorageError, PAGE_SIZE,
+    FaultPlan, IoCursor, OverlayPick, Page, PageId, PagedFile, ReplicaHealth, Result, RetryPolicy,
+    ScrubReport, Scrubber, SharedCachedFile, SharedFaultyFile, StorageError, PAGE_SIZE,
 };
 use hdov_visibility::{CellGrid, CellId, DovTable};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Nil pointer in a dense V-page-index segment (matches the vertical
 /// scheme's on-disk encoding).
@@ -163,35 +163,30 @@ impl SharedVPageFile {
 
     /// Reads record `idx`, charging any pool miss to `cursor`.
     ///
-    /// Zero-copy: the disk page's pooled frame holds every record of the
-    /// page decoded in its overlay (trailing unused slots are zero bytes,
-    /// which decode as empty V-pages). Repeat reads of any record on the
-    /// page — from this or any other session — share the one decoded
-    /// vector, and a hit on a decoded page clones only the record's `Arc`,
-    /// under the pool's stripe lock; the decoded data dies when the frame
-    /// is evicted.
+    /// Zero-copy, decoded on demand: the disk page's pooled frame carries
+    /// one empty slot per record in its overlay, and a read decodes only
+    /// its own record into its slot (one `codec_decodes` per distinct
+    /// record per pool residency), as the sequential `VPageFile::read`
+    /// decodes one record per read. Repeat reads of the record — from this
+    /// or any other session — share the one decoded `Arc`, and a hit on a
+    /// decoded record clones only that `Arc`, under the pool's stripe lock;
+    /// the decoded records die when the frame is evicted. (Hits decode
+    /// under the stripe lock too; only a session finishing its own miss
+    /// decodes outside it, so two sessions can race to decode one record
+    /// and both count it, and the first stored wins.)
     pub fn read(&self, cursor: &mut IoCursor, idx: u64) -> Result<Arc<VPage>> {
-        let slot = (idx % self.records_per_page) as usize;
-        let rb = self.record_bytes;
         let rpp = self.records_per_page as usize;
-        let codec = self.codec;
-        // Batch decode: one pass materializes every record of the page into
-        // the frame's OnceLock overlay slot, so the whole page pays decode
-        // at most once per pool residency regardless of codec.
-        let decode = |page: &[u8]| {
-            hdov_obs::add(hdov_obs::Counter::CodecDecodes, rpp as u64);
-            let mut v = Vec::with_capacity(rpp);
-            for s in 0..rpp {
-                v.push(Arc::new(codec.decode_record(&page[s * rb..(s + 1) * rb])?));
-            }
-            Ok(v)
+        let pick = RecordPick {
+            slot: (idx % self.records_per_page) as usize,
+            record_bytes: self.record_bytes,
+            codec: self.codec,
         };
         self.pool.read_overlay(
             cursor,
             PageId(self.disk_page_of(idx)),
-            decode,
-            |decoded: &Arc<Vec<Arc<VPage>>>| Arc::clone(&decoded[slot]),
-        )
+            |_| Ok(RecordSlots::new(rpp)),
+            pick,
+        )?
     }
 
     /// Number of records.
@@ -212,6 +207,41 @@ impl SharedVPageFile {
             records_per_page: self.records_per_page,
             codec: self.codec,
         }
+    }
+}
+
+/// A V-page disk page's decoded overlay: one slot per record, each decoded
+/// on its first read. A failed decode leaves its slot empty (the error goes
+/// to that reader; bytes are checksum-verified at admission, so it means a
+/// malformed store, and a later read decodes again).
+struct RecordSlots(Box<[OnceLock<Arc<VPage>>]>);
+
+impl RecordSlots {
+    fn new(records: usize) -> Self {
+        RecordSlots((0..records).map(|_| OnceLock::new()).collect())
+    }
+}
+
+/// [`SharedVPageFile::read`]'s pick: record `slot` of a page, decoded from
+/// the page bytes into its overlay slot on first use.
+struct RecordPick {
+    slot: usize,
+    record_bytes: usize,
+    codec: crate::vpage::VPageCodec,
+}
+
+impl OverlayPick<RecordSlots, Result<Arc<VPage>>> for RecordPick {
+    fn pick(&self, slots: &Arc<RecordSlots>, bytes: &[u8]) -> Result<Arc<VPage>> {
+        let slot = &slots.0[self.slot];
+        if let Some(vpage) = slot.get() {
+            return Ok(Arc::clone(vpage));
+        }
+        let rb = self.record_bytes;
+        hdov_obs::add(hdov_obs::Counter::CodecDecodes, 1);
+        let vpage = self
+            .codec
+            .decode_record(&bytes[self.slot * rb..(self.slot + 1) * rb])?;
+        Ok(Arc::clone(slot.get_or_init(|| Arc::new(vpage))))
     }
 }
 
@@ -601,8 +631,9 @@ impl SharedTree {
     /// Fetches node `ordinal`'s internal LoD at `level`, charging `cursor`.
     ///
     /// Same page sequence (and therefore identical simulated charging) as
-    /// [`ModelStore::fetch`], but through the frame API: pool hits cost no
-    /// memcpy and the loop allocates nothing.
+    /// [`ModelStore::fetch`], but each page is only charged
+    /// ([`SharedCachedFile::touch`]): pool hits cost no memcpy and clone no
+    /// frame, and the loop allocates nothing.
     pub fn fetch_internal_lod(
         &self,
         cursor: &mut IoCursor,
@@ -648,22 +679,22 @@ impl SharedModels {
 
     /// Fetches (charges the page reads for) `(key, level)` — the zero-copy
     /// counterpart of [`ModelStore::fetch`]: the identical page sequence is
-    /// charged to `cursor`, but pool hits hand back pooled frames instead
-    /// of copying into a scratch page, and the loop allocates nothing.
+    /// charged to `cursor`, but pool hits neither copy into a scratch page
+    /// nor clone the pooled frame, and the loop allocates nothing.
     pub fn fetch(&self, cursor: &mut IoCursor, key: u64, level: usize) -> Result<ModelHandle> {
         read_model_pages(&self.pool, cursor, self.store.handle(key, level))
     }
 }
 
 /// Charges `h`'s pages in order through `pool` — the page sequence of
-/// [`ModelStore::fetch`], without copying frames or allocating.
+/// [`ModelStore::fetch`], without copying, cloning or handing out frames.
 fn read_model_pages(
     pool: &SharedCachedFile,
     cursor: &mut IoCursor,
     h: ModelHandle,
 ) -> Result<ModelHandle> {
     for i in 0..h.pages as u64 {
-        pool.read_frame(cursor, PageId(h.first_page.0 + i))?;
+        pool.touch(cursor, PageId(h.first_page.0 + i))?;
     }
     Ok(h)
 }

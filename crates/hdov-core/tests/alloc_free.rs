@@ -6,6 +6,9 @@
 //! `query_delta_into_budgeted` with a live `DeltaSearch` — allocates
 //! nothing either once its resident set is warm.
 //!
+//! A pool miss into a full stripe allocates nothing either once the stripe
+//! has parked an evicted frame to refill (mem and pread backends).
+//!
 //! The counting global allocator counts per thread, so each test measures
 //! only its own queries while the harness runs the others. Obs stays
 //! disabled (registering a thread-local recorder allocates on first use,
@@ -13,13 +16,17 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use hdov_core::{
     search_shared_into, DeltaSearch, HdovBuildConfig, HdovEnvironment, PoolConfig, QueryBudget,
-    SearchScratch, SharedEnvironment, StorageScheme, VPageCodec,
+    SearchScratch, SessionCtx, SharedEnvironment, StorageScheme, VEntry, VPage, VPageCodec,
 };
 use hdov_scene::{CityConfig, Scene};
-use hdov_storage::StorageBackend;
+use hdov_storage::{
+    DiskModel, FrozenPages, IoCursor, MemPagedFile, Page, PageId, PagedFile, SharedCachedFile,
+    StorageBackend,
+};
 use hdov_visibility::{CellGridConfig, CellId};
 
 struct CountingAlloc;
@@ -256,4 +263,126 @@ fn steady_state_walkthrough_frame_allocates_nothing() {
             );
         }
     });
+}
+
+#[test]
+fn steady_state_pool_misses_allocate_nothing() {
+    assert!(!hdov_obs::is_enabled(), "obs must stay disabled here");
+    const PAGES: u64 = 64;
+    let mut file = MemPagedFile::new();
+    for i in 0..PAGES {
+        let id = file.allocate_page().unwrap();
+        file.write_page(id, &Page::from_bytes(&i.to_le_bytes()))
+            .unwrap();
+    }
+    let data = FrozenPages::from_mem(file);
+    let dir = std::env::temp_dir().join(format!("hdov_alloc_free_miss_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("pages.hdov");
+    data.write_store(&path, 1).unwrap();
+
+    for (label, data) in [
+        ("mem", data),
+        ("file:pread", FrozenPages::open_pread(&path).unwrap()),
+    ] {
+        // 8 frames over 4 stripes against a 64-page cycle: every read
+        // misses, and every miss evicts from a full stripe.
+        let pool = SharedCachedFile::new(data, DiskModel::PAPER_ERA, 8, 4);
+        let mut cur = IoCursor::new();
+        let mut cycle = |pool: &SharedCachedFile| {
+            for i in 0..PAGES {
+                let frame = pool.read_frame(&mut cur, PageId(i)).unwrap();
+                assert_eq!(&frame.bytes()[..8], &i.to_le_bytes());
+            }
+        };
+        // Warm-up: fills every stripe, parks a spare in each, and grows
+        // each stripe's page map to its high-water mark.
+        for _ in 0..2 {
+            cycle(&pool);
+        }
+        let misses_before = pool.hit_stats().1;
+        let before = allocations();
+        for _ in 0..4 {
+            cycle(&pool);
+        }
+        let allocated = allocations() - before;
+        let misses = pool.hit_stats().1 - misses_before;
+        assert_eq!(misses, 4 * PAGES, "{label}: every read must miss");
+        assert_eq!(
+            allocated, 0,
+            "{label}: {allocated} allocations over {misses} steady-state misses"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `cells` cells over `nodes` nodes with varied V-pages (a third of the
+/// pairs hidden), so records of different lengths share disk pages.
+fn varied_store(nodes: u32, cells: u32) -> (Vec<u16>, Vec<Vec<(u32, VPage)>>) {
+    let counts: Vec<u16> = (0..nodes).map(|o| 1 + (o * 7 % 12) as u16).collect();
+    let cells = (0..cells)
+        .map(|c| {
+            (0..nodes)
+                .filter(|o| (o + c) % 3 != 0)
+                .map(|o| {
+                    let entries = (0..u32::from(counts[o as usize]))
+                        .map(|i| VEntry {
+                            dov: ((o * 31 + c * 17 + i * 5) % 100) as f32 / 100.0,
+                            nvo: (o * 977 + c * 131 + i * 31) % 5000,
+                        })
+                        .collect();
+                    (o, VPage::new(entries))
+                })
+                .collect()
+        })
+        .collect();
+    (counts, cells)
+}
+
+#[test]
+fn shared_vpage_reads_equal_sequential_reads() {
+    let (counts, cells) = varied_store(90, 5);
+    for codec in [VPageCodec::Raw, VPageCodec::Delta] {
+        for scheme in [
+            StorageScheme::Horizontal,
+            StorageScheme::Vertical,
+            StorageScheme::IndexedVertical,
+        ] {
+            let mut seq = scheme
+                .build(&counts, &cells, DiskModel::PAPER_ERA, codec)
+                .unwrap();
+            let shared = scheme
+                .build(&counts, &cells, DiskModel::PAPER_ERA, codec)
+                .unwrap()
+                .into_shared(PoolConfig {
+                    capacity_pages: 4096,
+                    ..PoolConfig::default()
+                });
+            let mut ctx = SessionCtx::new();
+            let mut visible = 0;
+            // Every (cell, node) pair: together these reach every record of
+            // the V-page file.
+            for cell in 0..cells.len() as CellId {
+                seq.enter_cell(cell).unwrap();
+                shared.enter_cell(&mut ctx, cell).unwrap();
+                for ordinal in 0..counts.len() as u32 {
+                    let want = seq.fetch(ordinal).unwrap();
+                    let got = shared.fetch(&mut ctx, ordinal).unwrap();
+                    assert_eq!(
+                        want.as_ref(),
+                        got.as_deref(),
+                        "{scheme}, {codec:?}: cell {cell}, node {ordinal}"
+                    );
+                    if let Some(got) = got {
+                        visible += 1;
+                        // Memoized for the frame's residency: a re-read
+                        // shares the decoded record.
+                        let again = shared.fetch(&mut ctx, ordinal).unwrap().unwrap();
+                        assert!(Arc::ptr_eq(&got, &again), "{scheme}, {codec:?}");
+                    }
+                }
+            }
+            assert!(visible > 0);
+        }
+    }
 }

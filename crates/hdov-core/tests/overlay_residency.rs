@@ -345,6 +345,64 @@ fn concurrent_sessions_observe_one_decode_per_node_frame() {
 }
 
 #[test]
+fn vpage_reads_decode_one_record_per_distinct_record_per_residency() {
+    let _g = serial();
+    for codec in [VPageCodec::Raw, VPageCodec::Delta] {
+        let (counts, cells) = wide_delta_store(120);
+        let store = StorageScheme::Vertical
+            .build(&counts, &cells, DiskModel::PAPER_ERA, codec)
+            .unwrap();
+        // One single-frame stripe: exactly the last page read is resident.
+        let vs = store.into_shared(PoolConfig {
+            capacity_pages: 1,
+            shards: 1,
+            ..PoolConfig::default()
+        });
+        let file = vs.vpages();
+        let records = file.records();
+        assert!(
+            file.disk_page_of(records - 1) < records - 1,
+            "{codec:?}: records must share disk pages"
+        );
+        // Every third record, every record twice over in page order, then
+        // every other record backwards: re-reads within a residency and
+        // re-admissions of evicted pages.
+        let order: Vec<u64> = (0..records)
+            .step_by(3)
+            .chain((0..records).flat_map(|i| [i, i]))
+            .chain((0..records).rev().step_by(2))
+            .collect();
+        let mut expected = 0u64;
+        let mut resident = None;
+        let mut decoded = std::collections::HashSet::new();
+        for &idx in &order {
+            let page = file.disk_page_of(idx);
+            if resident != Some(page) {
+                resident = Some(page);
+                decoded.clear();
+            }
+            if decoded.insert(idx) {
+                expected += 1;
+            }
+        }
+
+        let mut cur = IoCursor::new();
+        hdov_obs::reset();
+        hdov_obs::enable();
+        for &idx in &order {
+            file.read(&mut cur, idx).unwrap();
+        }
+        hdov_obs::disable();
+        let snap = hdov_obs::snapshot("overlay_residency");
+        hdov_obs::reset();
+        assert_eq!(
+            snap.counters["codec_decodes"], expected,
+            "{codec:?}: one decode per distinct record per residency"
+        );
+    }
+}
+
+#[test]
 fn shared_answers_identical_overlays_on_vs_off() {
     let _g = serial();
     let scene = scene();

@@ -22,6 +22,12 @@
 //! reruns changes no page-read charging, so every simulated-cost figure
 //! stays bit-identical with overlays on or off (the `overlay_residency`
 //! integration test pins this down).
+//!
+//! The shared pool recycles evicted frames: it may refill an owned frame's
+//! page for a later miss, but only once no session holds the frame (its
+//! `Arc` is unique) and after dropping its overlay, so nobody ever sees a
+//! frame's bytes or overlay change (see
+//! [`SharedCachedFile`](crate::SharedCachedFile)).
 
 use crate::mmap::MappedStore;
 use crate::{Page, PageId, Result, StorageError, PAGE_SIZE};
@@ -108,6 +114,28 @@ impl Frame {
                 // a bounds-checked id, and the mapping is immutable.
                 &store.mapped_bytes()[*offset..*offset + PAGE_SIZE]
             }
+        }
+    }
+
+    /// Readies an evicted frame for reuse by a later miss: drops its
+    /// decoded overlay (which therefore still dies at eviction) and returns
+    /// whether the frame owns its page. A borrowed frame has no page to
+    /// refill and is not parkable.
+    pub(crate) fn park(&mut self) -> bool {
+        self.overlay.take();
+        !self.is_borrowed()
+    }
+
+    /// Re-labels a parked (or fresh) owned frame as page `id` and hands out
+    /// its page to be refilled; `None` for a borrowed frame. The overlay is
+    /// empty: [`park`](Self::park) dropped it, and a frame never pooled has
+    /// none.
+    pub(crate) fn recycle(&mut self, id: PageId) -> Option<&mut Page> {
+        debug_assert!(!self.has_overlay(), "recycled frames start undecoded");
+        self.id = id;
+        match &mut self.bytes {
+            FrameBytes::Owned(page) => Some(page),
+            FrameBytes::Mapped { .. } => None,
         }
     }
 

@@ -58,6 +58,6 @@ pub use pread::PreadStore;
 pub use replica::{ReplicaHealth, ReplicaSet};
 pub use retry::RetryPolicy;
 pub use scrub::{verify_pool, ManualScrubClock, ScrubClock, ScrubConfig, ScrubReport, Scrubber};
-pub use shared::{AtomicIoStats, FrozenPages, IoCursor, SharedCachedFile};
+pub use shared::{AtomicIoStats, FrozenPages, IoCursor, OverlayPick, SharedCachedFile};
 pub use stats::IoStats;
 pub use wal::{RecoveredTxn, Wal};

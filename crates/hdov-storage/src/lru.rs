@@ -1,9 +1,65 @@
 //! A slab-based LRU cache used for buffer pools.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 const NIL: usize = usize::MAX;
+
+/// Odd multiplier of [`FoldHasher`]'s folded multiply (the 64-bit golden
+/// ratio).
+const FOLD_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The key hasher of [`LruCache`]: every word is folded into the state with
+/// a 64×64→128-bit multiply whose high half is XORed back into its low half.
+///
+/// A pool stripe holds only page ids ≡ k (mod stripes), so the low bits of
+/// its keys are all equal; the fold carries the varying high bits down into
+/// the low bits the table indexes by (and into the top bits its control
+/// bytes use). One multiply per `u64` key instead of SipHash's rounds. Not
+/// flood-resistant, which pool keys (page ids) do not need.
+#[derive(Debug, Default, Clone, Copy)]
+struct FoldHasher(u64);
+
+impl FoldHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        let m = u128::from(self.0 ^ word) * u128::from(FOLD_MUL);
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+}
+
+impl Hasher for FoldHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.mix(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            // Zero-pad the tail and tag its length in the free top byte, so
+            // tails differing only in trailing zeros hash apart.
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            word[7] = rest.len() as u8;
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+}
 
 #[derive(Debug)]
 struct Node<K, V> {
@@ -29,7 +85,7 @@ struct Node<K, V> {
 /// ```
 #[derive(Debug)]
 pub struct LruCache<K, V> {
-    map: HashMap<K, usize>,
+    map: HashMap<K, usize, BuildHasherDefault<FoldHasher>>,
     slab: Vec<Node<K, V>>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -47,7 +103,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "LRU capacity must be positive");
         LruCache {
-            map: HashMap::with_capacity(capacity),
+            map: HashMap::with_capacity_and_hasher(capacity, Default::default()),
             slab: Vec::with_capacity(capacity),
             free: Vec::new(),
             head: NIL,
@@ -303,6 +359,94 @@ mod tests {
     #[should_panic]
     fn zero_capacity_panics() {
         let _: LruCache<u8, u8> = LruCache::new(0);
+    }
+
+    #[test]
+    fn fold_hasher_spreads_one_residue_class() {
+        // Keys ≡ 3 (mod 8), as one of eight pool stripes sees them: the
+        // low three bits of the keys are constant, those of the hashes must
+        // not be, and no two keys may collide.
+        let hashes: Vec<u64> = (0..4096u64)
+            .map(|k| {
+                let mut h = FoldHasher::default();
+                h.write_u64(8 * k + 3);
+                h.finish()
+            })
+            .collect();
+        let mut low = [0u32; 8];
+        for &h in &hashes {
+            low[(h & 7) as usize] += 1;
+        }
+        assert!(low.iter().all(|&n| n > 256), "low bits skewed: {low:?}");
+        let mut sorted = hashes.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), hashes.len());
+        // Byte tails that differ only in trailing zeros hash apart.
+        let hash = |b: &[u8]| {
+            let mut h = FoldHasher::default();
+            h.write(b);
+            h.finish()
+        };
+        assert_ne!(hash(b"ab"), hash(b"ab\0"));
+    }
+
+    #[test]
+    fn one_stripe_residue_class_keeps_exact_semantics() {
+        // Page ids ≡ 3 (mod 8), spread over the whole u64 range, against a
+        // naive model: every get, every eviction and the hit counters agree.
+        use std::collections::VecDeque;
+        let cap = 16;
+        let mut c = LruCache::new(cap);
+        let mut model: VecDeque<(u64, u64)> = VecDeque::new(); // front = MRU
+        let (mut hits, mut misses) = (0u64, 0u64);
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            seed
+        };
+        // 48 distinct keys: small ids and ids with high bits set.
+        let keys: Vec<u64> = (0..48u64)
+            .map(|i| {
+                let k = if i % 2 == 0 { i } else { (i << 40) | (i << 20) };
+                8 * k + 3
+            })
+            .collect();
+        for step in 0..20_000u64 {
+            let r = next();
+            let k = keys[((r >> 33) % keys.len() as u64) as usize];
+            if r % 3 == 0 {
+                let expect = match model.iter().position(|&(mk, _)| mk == k) {
+                    Some(pos) => {
+                        model.remove(pos);
+                        None
+                    }
+                    None if model.len() == cap => model.pop_back(),
+                    None => None,
+                };
+                model.push_front((k, step));
+                assert_eq!(c.insert(k, step), expect);
+            } else {
+                let got = c.get(&k).copied();
+                match model.iter().position(|&(mk, _)| mk == k) {
+                    Some(pos) => {
+                        hits += 1;
+                        let entry = model.remove(pos).unwrap();
+                        assert_eq!(got, Some(entry.1));
+                        model.push_front(entry);
+                    }
+                    None => {
+                        misses += 1;
+                        assert_eq!(got, None);
+                    }
+                }
+            }
+            assert_eq!(c.len(), model.len());
+        }
+        assert_eq!(c.hit_stats(), (hits, misses));
+        assert!(hits > 0 && misses > 0);
     }
 
     #[test]

@@ -39,8 +39,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Locks a pool shard, recovering from poison.
 ///
-/// Shards hold plain `(page id → Arc<Frame>)` maps with no invariants that
-/// span a panic point, so a shard abandoned mid-operation by a panicking
+/// Shards hold plain `(page id → Arc<Frame>)` maps (plus at most one parked
+/// frame outside them) with no invariants that span a panic point, so a shard abandoned mid-operation by a panicking
 /// session is still structurally sound: recover the guard and keep serving.
 /// One crashed session must never wedge every other session sharing the
 /// pool.
@@ -484,13 +484,18 @@ impl IoCursor {
 /// overlay lives exactly as long as the frame stays pooled — eviction drops
 /// the pool's `Arc`, and the overlay dies with the last session reference.
 ///
+/// Evicted frames are recycled: an owned frame no session still holds is
+/// parked (overlay dropped) as its stripe's spare, and the stripe's next
+/// copying miss reads straight into the spare's page, so a steady-state
+/// miss on the mem and pread backends allocates nothing.
+///
 /// [`read_frame`]: Self::read_frame
 /// [`read_overlay`]: Self::read_overlay
 #[derive(Debug)]
 pub struct SharedCachedFile {
     data: FrozenPages,
     model: DiskModel,
-    shards: Vec<Mutex<LruCache<u64, Arc<Frame>>>>,
+    shards: Vec<Mutex<Stripe>>,
     stats: AtomicIoStats,
     cache_overlay: bool,
     /// Sidecar per-page FNV-1a table, stamped from the trusted frozen
@@ -540,9 +545,7 @@ impl SharedCachedFile {
         SharedCachedFile {
             data,
             model,
-            shards: (0..shards)
-                .map(|_| Mutex::new(LruCache::new(per_shard)))
-                .collect(),
+            shards: (0..shards).map(|_| Stripe::new(per_shard)).collect(),
             stats: AtomicIoStats::default(),
             cache_overlay,
             checksums,
@@ -620,12 +623,12 @@ impl SharedCachedFile {
     /// cold cache, zeroed counters) — the per-session-pool baseline of the
     /// concurrent bench.
     pub fn fork(&self) -> Self {
-        let per_shard = lock_shard(&self.shards[0]).capacity();
+        let per_shard = lock_shard(&self.shards[0]).lru.capacity();
         SharedCachedFile {
             data: self.data.clone(),
             model: self.model,
             shards: (0..self.shards.len())
-                .map(|_| Mutex::new(LruCache::new(per_shard)))
+                .map(|_| Stripe::new(per_shard))
                 .collect(),
             stats: AtomicIoStats::default(),
             cache_overlay: self.cache_overlay,
@@ -675,7 +678,7 @@ impl SharedCachedFile {
         let hits = self
             .shards
             .iter()
-            .map(|s| lock_shard(s).hit_stats().0)
+            .map(|s| lock_shard(s).lru.hit_stats().0)
             .sum();
         (hits, self.stats.misses())
     }
@@ -696,7 +699,7 @@ impl SharedCachedFile {
     pub fn per_shard_hit_stats(&self) -> Vec<(u64, u64)> {
         self.shards
             .iter()
-            .map(|s| lock_shard(s).hit_stats())
+            .map(|s| lock_shard(s).lru.hit_stats())
             .collect()
     }
 
@@ -830,7 +833,8 @@ impl SharedCachedFile {
     ///
     /// The zero-copy hot path: a pool hit clones the pooled `Arc` (no page
     /// memcpy) and costs nothing; a miss copies the page out of the frozen
-    /// store exactly once into a fresh frame, charges `cursor` by the
+    /// store exactly once into the stripe's parked spare frame (or a fresh
+    /// one; mmap misses borrow the mapping instead), charges `cursor` by the
     /// simulated-disk rule, and installs the frame (possibly evicting the
     /// shard's LRU frame, whose decoded overlay dies with it). The hit/miss
     /// sequence and all cursor charging are identical to the historical
@@ -857,25 +861,42 @@ impl SharedCachedFile {
     /// outside the lock, as [`read_frame`](Self::read_frame) followed by
     /// [`Frame::overlay_with`] would. Hit/miss sequence, charging and every
     /// `hdov-obs` counter are those of that pair.
+    ///
+    /// `pick` is any `Fn(&Arc<T>) -> R`, or an [`OverlayPick`] that also
+    /// reads the page bytes: an overlay of lazily filled per-record slots
+    /// decodes just the requested record out of them on first use.
     pub fn read_overlay<T, R>(
         &self,
         cursor: &mut IoCursor,
         id: PageId,
         decode: impl FnOnce(&[u8]) -> Result<T>,
-        pick: impl Fn(&Arc<T>) -> R,
+        pick: impl OverlayPick<T, R>,
     ) -> Result<R>
     where
         T: std::any::Any + Send + Sync,
     {
         let found = self.lookup(cursor, id, true, |frame| match frame.decoded::<T>() {
-            Some(overlay) => Probe::Served(pick(overlay)),
+            Some(overlay) => Probe::Served(pick.pick(overlay, frame.bytes())),
             None => Probe::Frame(Arc::clone(frame)),
         })?;
         hdov_obs::add(hdov_obs::Counter::BytesCopiedSaved, PAGE_SIZE as u64);
         match found {
             Probe::Served(r) => Ok(r),
-            Probe::Frame(frame) => frame.overlay_with(decode, pick),
+            Probe::Frame(frame) => {
+                frame.overlay_with(decode, |overlay| pick.pick(overlay, frame.bytes()))
+            }
         }
+    }
+
+    /// Reads page `id` for its charge alone: the promoting probe of
+    /// [`read_frame`](Self::read_frame), with its hit/miss sequence, cursor
+    /// charging and `hdov-obs` counters, but a hit clones no frame `Arc`
+    /// and nothing is handed out. For callers that only charge a page
+    /// sequence (model and internal-LoD fetches).
+    pub fn touch(&self, cursor: &mut IoCursor, id: PageId) -> Result<()> {
+        self.lookup(cursor, id, true, |_| Probe::Served(()))?;
+        hdov_obs::add(hdov_obs::Counter::BytesCopiedSaved, PAGE_SIZE as u64);
+        Ok(())
     }
 
     /// Builds the frame a miss admits, before any charging.
@@ -885,13 +906,24 @@ impl SharedCachedFile {
     /// the mapping alive) after the same sidecar-checksum verification a
     /// copying fetch performs. Every other configuration — mem, pread, or
     /// any armed fault injector — copies through [`fetch_into`](Self::fetch_into)
-    /// so fault/retry semantics are byte-for-byte the historical ones.
-    fn build_frame(&self, cursor: &mut IoCursor, id: PageId) -> Result<Frame> {
+    /// so fault/retry semantics are byte-for-byte the historical ones, into
+    /// the stripe's `spare` frame when it has one (see
+    /// [`owned_frame`](Self::owned_frame)).
+    fn build_frame(
+        &self,
+        spare: &mut Option<Arc<Frame>>,
+        cursor: &mut IoCursor,
+        id: PageId,
+    ) -> Result<Arc<Frame>> {
         if !self.replicas.any_faults() {
             if let Some(store) = self.data.mapped() {
                 let bytes = store.page_bytes(id)?;
                 if page_checksum(bytes) == self.checksums[id.0 as usize] {
-                    return Ok(Frame::borrowed(id, Arc::clone(store), self.cache_overlay));
+                    return Ok(Arc::new(Frame::borrowed(
+                        id,
+                        Arc::clone(store),
+                        self.cache_overlay,
+                    )));
                 }
                 // Corrupt (or stale) mapping: fall through to the copying
                 // path, which counts the failure once and can fail over to
@@ -899,9 +931,37 @@ impl SharedCachedFile {
                 // Corrupt error the borrow path historically returned.
             }
         }
-        let mut page = Page::zeroed();
-        self.fetch_into(cursor, id, &mut page)?;
-        Ok(Frame::with_overlay_policy(id, page, self.cache_overlay))
+        self.owned_frame(spare, id, |page| self.fetch_into(cursor, id, page))
+    }
+
+    /// An owned frame for page `id` whose page `fill` writes: the stripe's
+    /// parked `spare` when there is one — no page or `Arc` allocation — or
+    /// a fresh zeroed frame. A failed fill parks the frame as the spare
+    /// again, outside the LRU, so poison never enters the pool and the next
+    /// fill simply overwrites the bytes.
+    fn owned_frame(
+        &self,
+        spare: &mut Option<Arc<Frame>>,
+        id: PageId,
+        fill: impl FnOnce(&mut Page) -> Result<()>,
+    ) -> Result<Arc<Frame>> {
+        let mut frame = spare.take().unwrap_or_else(|| {
+            Arc::new(Frame::with_overlay_policy(
+                id,
+                Page::zeroed(),
+                self.cache_overlay,
+            ))
+        });
+        let page = Arc::get_mut(&mut frame)
+            .and_then(|f| f.recycle(id))
+            .expect("a spare frame is owned and never handed out");
+        match fill(page) {
+            Ok(()) => Ok(frame),
+            Err(e) => {
+                *spare = Some(frame);
+                Err(e)
+            }
+        }
     }
 
     fn read_frame_inner(&self, cursor: &mut IoCursor, id: PageId) -> Result<Arc<Frame>> {
@@ -928,41 +988,43 @@ impl SharedCachedFile {
         let _probe = hdov_obs::span(hdov_obs::Phase::CacheProbe);
         // Bounds-check before any accounting: errors are never charged.
         self.data.check(id)?;
-        let mut pool = self.shard_of(id);
+        let mut stripe = self.shard_of(id);
         let hit = if promote {
-            pool.get(&id.0)
+            stripe.lru.get(&id.0)
         } else {
-            pool.probe(&id.0)
+            stripe.lru.probe(&id.0)
         };
         if let Some(frame) = hit {
             hdov_obs::add(hdov_obs::Counter::PoolHits, 1);
             return Ok(on_hit(frame));
         }
         // A failed or corrupt fetch returns here before any read is
-        // counted or any frame built: poison never enters the pool.
-        let frame = self.build_frame(cursor, id)?;
-        Ok(Probe::Frame(self.admit(&mut pool, cursor, id, frame)))
+        // counted or any frame pooled: poison never enters the pool.
+        let frame = self.build_frame(&mut stripe.spare, cursor, id)?;
+        Ok(Probe::Frame(self.admit(&mut stripe, cursor, id, frame)))
     }
 
     /// Charges `cursor` for the miss on `id`, counts it, and installs
-    /// `frame` in `pool` — the stripe whose lock the caller holds.
+    /// `frame` in `stripe` — whose lock the caller holds — parking the
+    /// frame it evicts, if any.
     fn admit(
         &self,
-        pool: &mut LruCache<u64, Arc<Frame>>,
+        stripe: &mut Stripe,
         cursor: &mut IoCursor,
         id: PageId,
-        frame: Frame,
+        frame: Arc<Frame>,
     ) -> Arc<Frame> {
-        let frame = Arc::new(frame);
         let (sequential, cost) = cursor.charge_read(id, self.model);
         self.stats.record_miss(sequential, cost);
         hdov_obs::add(hdov_obs::Counter::PoolMisses, 1);
-        pool.insert(id.0, Arc::clone(&frame));
+        if let Some((_, evicted)) = stripe.lru.insert(id.0, Arc::clone(&frame)) {
+            stripe.park(evicted);
+        }
         frame
     }
 
     /// Locks the stripe holding page `id`.
-    fn shard_of(&self, id: PageId) -> MutexGuard<'_, LruCache<u64, Arc<Frame>>> {
+    fn shard_of(&self, id: PageId) -> MutexGuard<'_, Stripe> {
         lock_shard(&self.shards[(id.0 % self.shards.len() as u64) as usize])
     }
 
@@ -1049,8 +1111,8 @@ impl SharedCachedFile {
         for k in 0..len {
             let id = PageId(first.0 + k);
             let _probe = hdov_obs::span(hdov_obs::Phase::CacheProbe);
-            let mut pool = self.shard_of(id);
-            if pool.probe(&id.0).is_some() {
+            let mut stripe = self.shard_of(id);
+            if stripe.lru.probe(&id.0).is_some() {
                 hdov_obs::add(hdov_obs::Counter::PoolHits, 1);
                 continue;
             }
@@ -1060,21 +1122,70 @@ impl SharedCachedFile {
                 // through the full per-page warm, whose fetch path counts
                 // the failure and fails over to a healthy replica (the
                 // shard lock must drop first — `warm` re-takes it).
-                drop(pool);
+                drop(stripe);
                 self.warm(cursor, id)?;
                 continue;
             }
-            let mut page = Page::zeroed();
-            page.bytes_mut().copy_from_slice(bytes);
-            let frame = Frame::with_overlay_policy(id, page, self.cache_overlay);
-            self.admit(&mut pool, cursor, id, frame);
+            let frame = self.owned_frame(&mut stripe.spare, id, |page| {
+                page.bytes_mut().copy_from_slice(bytes);
+                Ok(())
+            })?;
+            self.admit(&mut stripe, cursor, id, frame);
         }
         Ok(())
     }
 
     /// True if page `id` is currently pooled (no promotion, no counters).
     pub fn contains(&self, id: PageId) -> bool {
-        self.shard_of(id).peek(&id.0).is_some()
+        self.shard_of(id).lru.peek(&id.0).is_some()
+    }
+}
+
+/// One lock stripe of a [`SharedCachedFile`]: its LRU plus at most one
+/// parked frame, both under the stripe's own mutex (no extra lock).
+///
+/// The spare is an evicted owned frame that no session held at eviction
+/// (`Arc::get_mut` succeeded), its overlay already dropped. It is never
+/// handed out, so it stays unshared until the stripe's next copying miss
+/// refills its page in place: no 4 KiB page or `Arc` allocation for that
+/// miss, and no free on the evicting thread. A frame a session still
+/// holds, or one borrowing mmap'd bytes, is dropped as before — its bytes
+/// and overlay stay valid for whoever holds it.
+#[derive(Debug)]
+struct Stripe {
+    lru: LruCache<u64, Arc<Frame>>,
+    spare: Option<Arc<Frame>>,
+}
+
+impl Stripe {
+    fn new(capacity: usize) -> Mutex<Self> {
+        Mutex::new(Stripe {
+            lru: LruCache::new(capacity),
+            spare: None,
+        })
+    }
+
+    /// Parks `evicted` as the spare when the slot is empty and the frame is
+    /// owned and unshared; drops it otherwise.
+    fn park(&mut self, mut evicted: Arc<Frame>) {
+        if self.spare.is_none() && Arc::get_mut(&mut evicted).is_some_and(Frame::park) {
+            self.spare = Some(evicted);
+        }
+    }
+}
+
+/// What [`SharedCachedFile::read_overlay`] makes of a page's decoded
+/// overlay. Every `Fn(&Arc<T>) -> R` is one (it ignores the bytes); a pick
+/// that also reads the page's `bytes` can fill a lazily decoded overlay on
+/// demand — a V-page file decodes one record per request this way.
+pub trait OverlayPick<T, R> {
+    /// The result for `overlay`, decoded from page `bytes`.
+    fn pick(&self, overlay: &Arc<T>, bytes: &[u8]) -> R;
+}
+
+impl<T, R, F: Fn(&Arc<T>) -> R> OverlayPick<T, R> for F {
+    fn pick(&self, overlay: &Arc<T>, _bytes: &[u8]) -> R {
+        self(overlay)
     }
 }
 
