@@ -13,8 +13,8 @@
 //! Edits ([`insert`](MutableScene::insert), [`remove`](MutableScene::remove),
 //! [`translate`](MutableScene::translate)) stage against a working set;
 //! [`commit`](MutableScene::commit) computes the **dirty cell set** from the
-//! moved bounding boxes ([`DovTable::affected_cells`]), re-estimates only
-//! those cells ([`DovTable::recompute_cells`]), page-diffs the re-encoded
+//! moved bounding boxes and re-estimates only those cells, in one pass
+//! ([`DovTable::repatch`]), page-diffs the re-encoded
 //! state against the previous epoch's images so the WAL carries only changed
 //! pages, commits, and republishes the derived environment (V-pages, node
 //! pages, internal LoDs rebuilt over the patched visibility).
@@ -392,11 +392,11 @@ impl MutableScene {
     /// Commits every staged edit as one durable transaction and returns the
     /// new epoch (or the current one when nothing is staged).
     ///
-    /// Pipeline: apply the staged backbone mutations; compute the dirty cell
-    /// set from the *previous* table (old visibility of moved objects, plus
-    /// cells one of whose sampled estimator rays passes through a changed
-    /// region); materialise the dense scene;
-    /// re-estimate only the dirty cells; page-diff the re-encoded files
+    /// Pipeline: apply the staged backbone mutations; note the cells that
+    /// saw a moved object in the *previous* table; materialise the dense
+    /// scene; re-estimate those cells plus every cell one of whose sampled
+    /// estimator rays passes through a changed region, in one pass that
+    /// draws each ray once for both tests; page-diff the re-encoded files
     /// against the previous epoch's images; WAL-commit the changed pages;
     /// rebuild and publish the derived environment.
     ///
@@ -426,11 +426,10 @@ impl MutableScene {
             }
         }
 
-        // 2. Dirty cells, judged against the previous epoch's visibility.
-        let dirty = self
+        // 2. Cells that saw a changed object in the previous epoch.
+        let seen = self
             .dov
-            .affected_cells(&self.grid, &self.cfg.dov, &w.changed_old, &w.regions);
-        hdov_obs::add(Counter::DovRepatches, dirty.len() as u64);
+            .affected_cells(&self.grid, &self.cfg.dov, &w.changed_old, &[]);
 
         // 3. Dense view of the edited scene.
         self.objects = w.objects;
@@ -438,9 +437,11 @@ impl MutableScene {
         let scene = self.dense_scene(&handles);
 
         // 4. Translate the surviving visibility to dense keys and
-        //    re-estimate only the dirty cells.
+        //    re-estimate only the dirty cells: those seen, and those a
+        //    sampled ray crosses a changed region from.
         let mut dense = dense_table(&self.dov, &handles, self.cfg.dov.rays_per_viewpoint);
-        dense.recompute_cells(&scene, &self.grid, &self.cfg.dov, &dirty);
+        let dirty = dense.repatch(&scene, &self.grid, &self.cfg.dov, &seen, &w.regions);
+        hdov_obs::add(Counter::DovRepatches, dirty.len() as u64);
 
         // 5. Back to handle keys for the durable image.
         self.dov = handle_table(&dense, &handles);

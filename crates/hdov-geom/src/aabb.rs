@@ -1,7 +1,7 @@
 //! Axis-aligned bounding boxes — the `MBR` (minimum bounding rectangle,
 //! here a 3-D box) stored in every HDoV-tree entry.
 
-use crate::{Ray, Vec3};
+use crate::{Ray, SlabRay, Vec3};
 
 /// An axis-aligned bounding box, defined by its minimum and maximum corners.
 ///
@@ -192,33 +192,46 @@ impl Aabb {
     /// Slab-test ray intersection.
     ///
     /// Returns the entry parameter `t >= 0` (0 when the origin is inside the
-    /// box), or `None` when the ray misses.
+    /// box), or `None` when the ray misses. An empty box is never hit.
+    #[inline]
     pub fn ray_hit(&self, ray: &Ray) -> Option<f64> {
+        self.slab_hit(&SlabRay::new(ray))
+    }
+
+    /// [`ray_hit`](Self::ray_hit) against a prepared ray: the per-axis slab
+    /// interval is `(near - origin) * inv` to `(far - origin) * inv`, with
+    /// `near`/`far` the box bounds ordered by the sign of `inv`, folded into
+    /// `[0, ∞)` with max/min axis by axis. Folding never widens the
+    /// interval, so one emptiness check at the end decides the same as a
+    /// check after every axis.
+    #[inline]
+    pub fn slab_hit(&self, ray: &SlabRay) -> Option<f64> {
+        let lo = [self.min.x, self.min.y, self.min.z];
+        let hi = [self.max.x, self.max.y, self.max.z];
         let mut t_min: f64 = 0.0;
         let mut t_max: f64 = f64::INFINITY;
+        let mut outside = false;
         for axis in 0..3 {
             let origin = ray.origin[axis];
-            let dir = ray.dir[axis];
-            let (lo, hi) = (self.min[axis], self.max[axis]);
-            if dir.abs() < crate::EPSILON {
-                if origin < lo || origin > hi {
-                    return None;
-                }
+            if ray.parallel[axis] {
+                outside |= origin < lo[axis] || origin > hi[axis];
             } else {
-                let inv = 1.0 / dir;
-                let mut t0 = (lo - origin) * inv;
-                let mut t1 = (hi - origin) * inv;
-                if t0 > t1 {
-                    std::mem::swap(&mut t0, &mut t1);
-                }
-                t_min = t_min.max(t0);
-                t_max = t_max.min(t1);
-                if t_min > t_max {
-                    return None;
-                }
+                let inv = ray.inv[axis];
+                let (near, far) = if inv < 0.0 {
+                    (hi[axis], lo[axis])
+                } else {
+                    (lo[axis], hi[axis])
+                };
+                // `max`/`min` by comparison: the same values as
+                // `f64::max`/`f64::min` here (a NaN slab end leaves the
+                // bound unchanged, and `t_min` starts at +0 so never turns
+                // -0), without their NaN handling in the hot loop.
+                let (t0, t1) = ((near - origin) * inv, (far - origin) * inv);
+                t_min = if t0 > t_min { t0 } else { t_min };
+                t_max = if t1 < t_max { t1 } else { t_max };
             }
         }
-        Some(t_min)
+        (!outside && t_min <= t_max).then_some(t_min)
     }
 
     /// Expands the box by `margin` on every side.
@@ -355,6 +368,109 @@ mod tests {
         // Parallel to X outside the X slab.
         let r2 = Ray::new(Vec3::new(2.0, -1.0, 0.5), Vec3::Y);
         assert!(b.ray_hit(&r2).is_none());
+    }
+
+    /// The slab test as written before [`SlabRay`]: divide per call, swap
+    /// the slab ends when they come out reversed.
+    fn reference_ray_hit(b: &Aabb, ray: &Ray) -> Option<f64> {
+        let mut t_min: f64 = 0.0;
+        let mut t_max: f64 = f64::INFINITY;
+        for axis in 0..3 {
+            let origin = ray.origin[axis];
+            let dir = ray.dir[axis];
+            let (lo, hi) = (b.min[axis], b.max[axis]);
+            if dir.abs() < crate::EPSILON {
+                if origin < lo || origin > hi {
+                    return None;
+                }
+            } else {
+                let inv = 1.0 / dir;
+                let mut t0 = (lo - origin) * inv;
+                let mut t1 = (hi - origin) * inv;
+                if t0 > t1 {
+                    std::mem::swap(&mut t0, &mut t1);
+                }
+                t_min = t_min.max(t0);
+                t_max = t_max.min(t1);
+                if t_min > t_max {
+                    return None;
+                }
+            }
+        }
+        Some(t_min)
+    }
+
+    #[test]
+    fn slab_hit_is_bit_identical_to_the_reference_on_valid_boxes() {
+        let mut rng = crate::sampling::SplitMix64::new(7);
+        let mut coord = |snap: bool| {
+            let v = rng.next_f64() * 8.0 - 4.0;
+            if snap {
+                v.round()
+            } else {
+                v
+            }
+        };
+        let (mut hits, mut zero_t) = (0, 0);
+        for i in 0..20_000 {
+            // Lattice boxes and rays make coincident faces, origins on
+            // faces and axis-parallel directions common.
+            let snap = i % 2 == 0;
+            let a = Vec3::new(coord(snap), coord(snap), coord(snap));
+            let c = Vec3::new(coord(snap), coord(snap), coord(snap));
+            let b = Aabb::new(a, c);
+            let origin = Vec3::new(coord(snap), coord(snap), coord(snap));
+            let mut dir = Vec3::new(coord(snap), coord(snap), coord(snap));
+            match i % 5 {
+                1 => dir.x = 0.0,
+                2 => dir.y = 1e-10,
+                3 => dir.z = -0.0,
+                _ => {}
+            }
+            let ray = Ray::new(origin, dir.normalize_or_zero());
+            let want = reference_ray_hit(&b, &ray);
+            let got = b.ray_hit(&ray);
+            assert_eq!(
+                got.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "{b:?} {ray:?}"
+            );
+            hits += got.is_some() as u32;
+            zero_t += (got == Some(0.0)) as u32;
+        }
+        assert!(
+            hits > 2_000 && zero_t > 200,
+            "{hits} hits, {zero_t} at t = 0"
+        );
+    }
+
+    #[test]
+    fn origin_on_the_near_face_enters_at_positive_zero() {
+        // `(near - origin) * inv` is -0.0 here; the entry stays +0.0.
+        let b = unit();
+        for (o, d) in [
+            (Vec3::new(1.0, 0.5, 0.5), -Vec3::X),
+            (Vec3::ZERO, Vec3::splat(1.0)),
+        ] {
+            let ray = Ray::new(o, d.normalize_or_zero());
+            let want = reference_ray_hit(&b, &ray).map(f64::to_bits);
+            assert_eq!(want, Some(0.0f64.to_bits()));
+            assert_eq!(b.ray_hit(&ray).map(f64::to_bits), want);
+        }
+    }
+
+    #[test]
+    fn empty_box_is_never_hit() {
+        // The divide-and-swap form turned an inverted slab back into a
+        // valid one, so a ray with no near-zero component "hit" EMPTY at 0.
+        let ray = Ray::new(Vec3::ZERO, Vec3::new(1.0, 2.0, 3.0).normalize_or_zero());
+        assert_eq!(reference_ray_hit(&Aabb::EMPTY, &ray), Some(0.0));
+        assert_eq!(Aabb::EMPTY.ray_hit(&ray), None);
+        let inverted = Aabb {
+            min: Vec3::new(1.0, 0.0, 0.0),
+            max: Vec3::new(0.0, 1.0, 1.0),
+        };
+        assert_eq!(inverted.ray_hit(&Ray::new(Vec3::splat(0.5), Vec3::X)), None);
     }
 
     #[test]

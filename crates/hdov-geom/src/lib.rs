@@ -30,7 +30,7 @@ pub mod vec3;
 pub use aabb::Aabb;
 pub use frustum::Frustum;
 pub use plane::Plane;
-pub use ray::Ray;
+pub use ray::{Ray, SlabRay};
 pub use triangle::Triangle;
 pub use vec3::Vec3;
 

@@ -38,6 +38,32 @@ impl Ray {
     }
 }
 
+/// A ray prepared for many box tests: `1 / dir` is taken once per axis
+/// instead of once per [`Aabb::slab_hit`](crate::Aabb::slab_hit) call.
+///
+/// An axis with `|dir| < EPSILON` is *parallel*: its slab is tested by
+/// origin containment alone.
+#[derive(Debug, Clone, Copy)]
+pub struct SlabRay {
+    pub(crate) origin: [f64; 3],
+    /// `1 / dir` per axis; unused on a parallel axis.
+    pub(crate) inv: [f64; 3],
+    pub(crate) parallel: [bool; 3],
+}
+
+impl SlabRay {
+    /// Prepares `ray` for slab tests.
+    #[inline]
+    pub fn new(ray: &Ray) -> Self {
+        let d = [ray.dir.x, ray.dir.y, ray.dir.z];
+        SlabRay {
+            origin: [ray.origin.x, ray.origin.y, ray.origin.z],
+            inv: d.map(|d| 1.0 / d),
+            parallel: d.map(|d| d.abs() < crate::EPSILON),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

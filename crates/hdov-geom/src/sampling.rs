@@ -60,15 +60,22 @@ impl SplitMix64 {
 /// Unlike [`fibonacci_sphere`], different seeds give different direction
 /// sets, which decorrelates Monte-Carlo error across sample viewpoints.
 pub fn random_sphere(n: usize, seed: u64) -> Vec<Vec3> {
+    let mut out = Vec::with_capacity(n);
+    fill_random_sphere(&mut out, n, seed);
+    out
+}
+
+/// [`random_sphere`] into a reused buffer: replaces the contents of `out`
+/// with the same `n` directions, allocating only when `out` must grow.
+pub fn fill_random_sphere(out: &mut Vec<Vec3>, n: usize, seed: u64) {
     let mut rng = SplitMix64::new(seed);
-    (0..n)
-        .map(|_| {
-            let z = 2.0 * rng.next_f64() - 1.0;
-            let phi = 2.0 * std::f64::consts::PI * rng.next_f64();
-            let r = (1.0 - z * z).max(0.0).sqrt();
-            Vec3::new(r * phi.cos(), r * phi.sin(), z)
-        })
-        .collect()
+    out.clear();
+    out.extend((0..n).map(|_| {
+        let z = 2.0 * rng.next_f64() - 1.0;
+        let phi = 2.0 * std::f64::consts::PI * rng.next_f64();
+        let r = (1.0 - z * z).max(0.0).sqrt();
+        Vec3::new(r * phi.cos(), r * phi.sin(), z)
+    }));
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 use crate::bvh::{Bvh, Hit, TriBvh};
 use crate::cell::{CellGrid, CellId};
 use hdov_geom::sampling;
-use hdov_geom::{Aabb, Ray, Vec3};
+use hdov_geom::{Aabb, Ray, SlabRay, Vec3};
 use hdov_scene::Scene;
 
 /// What geometry the visibility rays are cast against.
@@ -140,13 +140,15 @@ impl DovTable {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     s.spawn(|| {
+                        let mut scratch = CellScratch::default();
                         let mut done = Vec::new();
                         loop {
                             let cell = next.fetch_add(1, Ordering::Relaxed);
                             if cell >= n_cells {
                                 break done;
                             }
-                            done.push((cell, compute_cell(&bvh, grid, cell as CellId, cfg)));
+                            scratch.rays.start(grid, cell as CellId, cfg);
+                            done.push((cell, scratch.estimate(&bvh, cfg)));
                         }
                     })
                 })
@@ -269,28 +271,16 @@ impl DovTable {
             "dirty test must cast the table's original ray count"
         );
         let regions: Vec<&Aabb> = changed_regions.iter().filter(|r| !r.is_empty()).collect();
-        let mut out = Vec::new();
-        'cells: for cell in 0..self.cells.len() as CellId {
-            for &obj in changed_objects {
-                if self.dov(cell, obj) > 0.0 {
-                    out.push(cell);
-                    continue 'cells;
-                }
-            }
-            if regions.is_empty() {
-                continue;
-            }
-            for (vp, dirs) in sample_rays(grid, cell, cfg) {
-                for d in &dirs {
-                    let ray = Ray::new(vp, *d);
-                    if regions.iter().any(|r| r.ray_hit(&ray).is_some()) {
-                        out.push(cell);
-                        continue 'cells;
-                    }
-                }
-            }
-        }
-        out
+        let mut rays = CellRays::default();
+        (0..self.cells.len() as CellId)
+            .filter(|&cell| {
+                changed_objects.iter().any(|&obj| self.dov(cell, obj) > 0.0)
+                    || (!regions.is_empty() && {
+                        rays.start(grid, cell, cfg);
+                        rays.cross(cfg, &regions)
+                    })
+            })
+            .collect()
     }
 
     /// Recomputes the listed cells in place against the (edited) `scene` —
@@ -299,6 +289,7 @@ impl DovTable {
     ///
     /// Typical flow after a scene edit:
     /// `let dirty = table.affected_cells(&grid, &cfg, ...); table.recompute_cells(&new_scene, &grid, &cfg, &dirty);`
+    /// — or [`repatch`](Self::repatch), which does both in one pass.
     pub fn recompute_cells(
         &mut self,
         scene: &Scene,
@@ -306,14 +297,49 @@ impl DovTable {
         cfg: &DovConfig,
         cells: &[CellId],
     ) {
+        self.repatch(scene, grid, cfg, cells, &[]);
+    }
+
+    /// [`affected_cells`](Self::affected_cells) and
+    /// [`recompute_cells`](Self::recompute_cells) in one pass: re-estimates
+    /// against the edited `scene` every cell listed in `seen` (e.g. the
+    /// cells that saw a changed object, from `affected_cells` with no
+    /// regions) and every cell one of whose sampled rays enters a changed
+    /// region; returns those cells in ascending order. The dirty test and
+    /// the estimate share each sample viewpoint's directions, drawn once,
+    /// and the caster is built once, when the first dirty cell needs it.
+    pub fn repatch(
+        &mut self,
+        scene: &Scene,
+        grid: &CellGrid,
+        cfg: &DovConfig,
+        seen: &[CellId],
+        changed_regions: &[Aabb],
+    ) -> Vec<CellId> {
         assert_eq!(
             self.rays_per_viewpoint, cfg.rays_per_viewpoint,
-            "recompute must use the table's original ray count"
+            "re-estimates must cast the table's original ray count"
         );
-        let caster = Caster::build(scene, cfg.geometry);
-        for &cell in cells {
-            self.cells[cell as usize] = compute_cell(&caster, grid, cell, cfg);
+        let regions: Vec<&Aabb> = changed_regions.iter().filter(|r| !r.is_empty()).collect();
+        let mut forced = vec![false; self.cells.len()];
+        for &cell in seen {
+            forced[cell as usize] = true;
         }
+        let mut caster = None;
+        let mut scratch = CellScratch::default();
+        let mut dirty = Vec::new();
+        for cell in 0..self.cells.len() as CellId {
+            if !forced[cell as usize] && regions.is_empty() {
+                continue;
+            }
+            scratch.rays.start(grid, cell, cfg);
+            if forced[cell as usize] || scratch.rays.cross(cfg, &regions) {
+                let caster = caster.get_or_insert_with(|| Caster::build(scene, cfg.geometry));
+                self.cells[cell as usize] = scratch.estimate(caster, cfg);
+                dirty.push(cell);
+            }
+        }
+        dirty
     }
 
     /// Serializes the table (little-endian, versioned). DoV precomputation
@@ -390,52 +416,108 @@ impl DovTable {
     }
 }
 
-/// The estimator's samples for `cell`: each sample viewpoint with its own
-/// ray directions. Both the estimate ([`compute_cell`]) and the dirty test
-/// ([`DovTable::affected_cells`]) cast exactly these rays.
-fn sample_rays(
-    grid: &CellGrid,
+/// The estimator's samples for one cell: its sample viewpoints and, per
+/// viewpoint, its ray directions, drawn on first use into buffers reused
+/// from cell to cell. Both the estimate ([`CellScratch::estimate`]) and the
+/// dirty test ([`CellRays::cross`]) cast exactly these rays.
+#[derive(Default)]
+struct CellRays {
     cell: CellId,
-    cfg: &DovConfig,
-) -> impl Iterator<Item = (Vec3, Vec<Vec3>)> {
-    let viewpoints = grid.sample_viewpoints(cell, cfg.viewpoints_per_cell, cfg.seed);
-    let (rays, seed) = (cfg.rays_per_viewpoint, cfg.seed);
-    viewpoints.into_iter().enumerate().map(move |(vi, vp)| {
-        // A distinct ray set per viewpoint decorrelates the MC error.
-        let dirs = sampling::random_sphere(rays, seed ^ ((cell as u64) << 20) ^ vi as u64);
-        (vp, dirs)
-    })
+    viewpoints: Vec<Vec3>,
+    dirs: Vec<Vec<Vec3>>,
+    /// Viewpoints whose directions `dirs` holds for this cell.
+    drawn: usize,
 }
 
-fn compute_cell(bvh: &Caster, grid: &CellGrid, cell: CellId, cfg: &DovConfig) -> Vec<(u32, f32)> {
-    let mut max_dov: std::collections::HashMap<u32, f32> = std::collections::HashMap::new();
-    let mut hits: Vec<u32> = Vec::new();
-    for (vp, dirs) in sample_rays(grid, cell, cfg) {
-        hits.clear();
-        for d in &dirs {
-            if let Hit::Object { index, .. } = bvh.first_hit(&Ray::new(vp, *d)) {
-                hits.push(index);
-            }
-        }
-        hits.sort_unstable();
-        let mut i = 0;
-        while i < hits.len() {
-            let obj = hits[i];
-            let mut j = i;
-            while j < hits.len() && hits[j] == obj {
-                j += 1;
-            }
-            let dov = (j - i) as f32 / cfg.rays_per_viewpoint as f32;
-            let e = max_dov.entry(obj).or_insert(0.0);
-            if dov > *e {
-                *e = dov;
-            }
-            i = j;
+impl CellRays {
+    /// Moves to `cell`; no directions are drawn yet.
+    fn start(&mut self, grid: &CellGrid, cell: CellId, cfg: &DovConfig) {
+        self.cell = cell;
+        self.viewpoints = grid.sample_viewpoints(cell, cfg.viewpoints_per_cell, cfg.seed);
+        self.drawn = 0;
+        if self.dirs.len() < self.viewpoints.len() {
+            self.dirs.resize_with(self.viewpoints.len(), Vec::new);
         }
     }
-    let mut out: Vec<(u32, f32)> = max_dov.into_iter().collect();
-    out.sort_unstable_by_key(|&(o, _)| o);
-    out
+
+    /// Sample viewpoint `vi` and its ray directions.
+    fn get(&mut self, cfg: &DovConfig, vi: usize) -> (Vec3, &[Vec3]) {
+        while self.drawn <= vi {
+            // A distinct ray set per viewpoint decorrelates the MC error.
+            let seed = cfg.seed ^ ((self.cell as u64) << 20) ^ self.drawn as u64;
+            sampling::fill_random_sphere(&mut self.dirs[self.drawn], cfg.rays_per_viewpoint, seed);
+            self.drawn += 1;
+        }
+        (self.viewpoints[vi], &self.dirs[vi])
+    }
+
+    /// True if any sampled ray enters one of `regions`.
+    fn cross(&mut self, cfg: &DovConfig, regions: &[&Aabb]) -> bool {
+        (0..self.viewpoints.len()).any(|vi| {
+            let (vp, dirs) = self.get(cfg, vi);
+            dirs.iter().any(|&d| {
+                let ray = SlabRay::new(&Ray::new(vp, d));
+                regions.iter().any(|r| r.slab_hit(&ray).is_some())
+            })
+        })
+    }
+}
+
+/// Buffers one estimating thread reuses from cell to cell.
+#[derive(Default)]
+struct CellScratch {
+    rays: CellRays,
+    /// First-hit object of each ray of one viewpoint.
+    hits: Vec<u32>,
+    /// Running `(object, max DoV)` of the cell, sorted by object, and the
+    /// buffer the next viewpoint merges into.
+    acc: Vec<(u32, f32)>,
+    merged: Vec<(u32, f32)>,
+}
+
+impl CellScratch {
+    /// The `(object, DoV)` list of the current cell: per object, the
+    /// largest share of one viewpoint's rays that hit it first, sorted by
+    /// object id.
+    fn estimate(&mut self, caster: &Caster, cfg: &DovConfig) -> Vec<(u32, f32)> {
+        let CellScratch {
+            rays,
+            hits,
+            acc,
+            merged,
+        } = self;
+        acc.clear();
+        for vi in 0..rays.viewpoints.len() {
+            let (vp, dirs) = rays.get(cfg, vi);
+            hits.clear();
+            for &d in dirs {
+                if let Hit::Object { index, .. } = caster.first_hit(&Ray::new(vp, d)) {
+                    hits.push(index);
+                }
+            }
+            hits.sort_unstable();
+            // Merge this viewpoint's runs into the running maxima.
+            merged.clear();
+            let mut k = 0;
+            for run in hits.chunk_by(|a, b| a == b) {
+                let obj = run[0];
+                let dov = run.len() as f32 / cfg.rays_per_viewpoint as f32;
+                while k < acc.len() && acc[k].0 < obj {
+                    merged.push(acc[k]);
+                    k += 1;
+                }
+                if k < acc.len() && acc[k].0 == obj {
+                    merged.push((obj, dov.max(acc[k].1)));
+                    k += 1;
+                } else {
+                    merged.push((obj, dov));
+                }
+            }
+            merged.extend_from_slice(&acc[k..]);
+            std::mem::swap(acc, merged);
+        }
+        acc.to_vec()
+    }
 }
 
 #[cfg(test)]

@@ -119,3 +119,27 @@ fn recompute_rejects_mismatched_ray_count() {
     }));
     assert!(result.is_err(), "mismatched ray count must be rejected");
 }
+
+#[test]
+fn one_pass_repatch_equals_dirty_test_then_recompute() {
+    let before = Scene::from_meshes(meshes(true), 2, 0.5).unwrap();
+    let after = Scene::from_meshes(meshes(false), 2, 0.5).unwrap();
+    let g = grid(&before);
+    let table = DovTable::compute(&before, &g, &cfg(), 1);
+    let occluder = (before.len() - 1) as u32;
+    let regions = [before.object(occluder as u64).mbr];
+    for objects in [vec![], vec![occluder]] {
+        let mut two_step = table.clone();
+        let dirty = two_step.affected_cells(&g, &cfg(), &objects, &regions);
+        two_step.recompute_cells(&after, &g, &cfg(), &dirty);
+
+        let mut one_pass = table.clone();
+        let seen = table.affected_cells(&g, &cfg(), &objects, &[]);
+        assert_eq!(one_pass.repatch(&after, &g, &cfg(), &seen, &regions), dirty);
+        assert_eq!(one_pass.encode(), two_step.encode());
+    }
+    // Nothing seen and no region: nothing is dirty and nothing changes.
+    let mut untouched = table.clone();
+    assert!(untouched.repatch(&after, &g, &cfg(), &[], &[]).is_empty());
+    assert_eq!(untouched.encode(), table.encode());
+}
